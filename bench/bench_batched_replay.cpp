@@ -8,7 +8,7 @@
 // trace regeneration avoided plus chunk reuse while hot in cache.
 //
 // Results are identity-checked bitwise before timing (the randomized proof
-// lives in `c2b check --family batch`). Emits BENCH_batched_replay.json
+// lives in `c2b check --family kernel`). Emits BENCH_batched_replay.json
 // for the perf-smoke CI gate, which enforces floors on both
 // accesses_per_sec and speedup.
 
@@ -154,9 +154,9 @@ int main(int argc, char** argv) {
 
   // Fig. 12 case study (fluidanimate-like, N = 4), the Fig. 7
   // dependent-chase extreme (N = 8), and a wide-chip sweep (N = 16) whose
-  // 36-point class splits into 16+16+4 power-of-two batch units — the
-  // vectorized kernel's best case. Working-set knobs are sized so the
-  // per-stream setup cost is material next to the APS simulation window.
+  // 36-point class splits into 16+16+4 power-of-two batch units.
+  // Working-set knobs are sized so the per-stream setup cost is material
+  // next to the APS simulation window.
   std::vector<Scenario> scenarios{
       neighborhood_sweep("neighborhood_n4", make_fluidanimate_like_workload(1u << 19), 4.0,
                          /*instructions0=*/6'000),

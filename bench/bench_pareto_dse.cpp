@@ -1,6 +1,6 @@
 // Pareto-DSE overhead benchmark: the same constrained factorial sweep run
 // through plain run_full_dse (best-point only) and run_pareto_dse
-// (frontier + per-constraint accounting). Both share the batched/SIMD
+// (frontier + per-constraint accounting). Both share the batched
 // replay engine, so the measured delta is exactly the Pareto layer: the
 // analytic power/area attachment, the O(n^2) dominance filter, and the
 // per-constraint usage pass. Cold cache and one thread for both paths so

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "c2b/aps/surrogate.h"
@@ -139,6 +140,48 @@ PhasePlan make_phase_plan(const DseContext& context, std::uint32_t cores) {
   return plan;
 }
 
+/// The serial phase's one stream: whole-footprint working set.
+std::unique_ptr<TraceGenerator> make_serial_generator(const DseContext& context,
+                                                      const PhasePlan& plan) {
+  return context.workload.make_generator(plan.serial_footprint_scale, context.seed);
+}
+
+/// Parallel-phase core `core`'s stream. Generators are seeded
+/// independently per core (splitmix-derived, so (seed, core) pairs never
+/// alias).
+std::unique_ptr<TraceGenerator> make_parallel_generator(const DseContext& context,
+                                                        const PhasePlan& plan,
+                                                        std::uint32_t core) {
+  return context.workload.make_generator(
+      plan.per_core_footprint_scale,
+      Rng::derive_stream_seed(context.seed, static_cast<std::uint64_t>(core)));
+}
+
+/// One design's time per unit work from its phase results: the serial
+/// phase contributes CPI x serial instruction count, the parallel phase
+/// its makespan extrapolated linearly from the simulated window to the
+/// full per-core share. Null marks a phase that does not run. Every
+/// simulation path (batched, per-point, reference) folds through here.
+BatchSimOutcome fold_phases(const PhasePlan& plan, const sim::SystemResult* serial,
+                            const sim::SystemResult* parallel) {
+  double total_cycles = 0.0;
+  BatchSimOutcome out;
+  if (serial != nullptr) {
+    total_cycles += serial->cores[0].cpi * plan.serial_ic;
+    out.memory_accesses += serial->cores[0].memory_accesses;
+  }
+  if (parallel != nullptr) {
+    for (const sim::CoreResult& core : parallel->cores) out.memory_accesses += core.memory_accesses;
+    const double scale = plan.parallel_ic_per_core / static_cast<double>(plan.parallel_window);
+    total_cycles += static_cast<double>(parallel->cycles) * scale;
+  }
+  C2B_ASSERT(total_cycles > 0.0, "design produced zero execution time");
+  // Time per unit work: divide by the work factor so rankings agree with
+  // the throughput objective of case I (see header).
+  out.time = total_cycles / plan.g_n;
+  return out;
+}
+
 }  // namespace
 
 std::string trace_class_key(const DseContext& context, std::uint32_t cores) {
@@ -248,81 +291,6 @@ bool design_feasible(const DseContext& context, const std::vector<double>& point
   return design_constraints(context).feasible(design_point_of(point));
 }
 
-double simulate_design_time(const DseContext& context, const std::vector<double>& point,
-                            std::uint64_t* memory_accesses) {
-  const sim::SystemConfig config = config_for_design(context, point);
-
-  // Memoization: the result is a pure function of (config, workload, seed,
-  // windows) — all encoded in the key. A hit returns the bit-identical
-  // time and access count the original simulation produced.
-  const std::string cache_key = simulation_cache_key(context, config);
-  exec::SimCache& cache = exec::SimCache::global();
-  if (!cache_key.empty()) {
-    if (const auto cached = cache.find(cache_key)) {
-      // Replayed accesses never reach the simulator's sim.l1.* counters;
-      // this counter keeps the telemetry ledger balanced:
-      //   sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses
-      //     == total reported memory accesses.
-      C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached->memory_accesses);
-      if (memory_accesses != nullptr) *memory_accesses += cached->memory_accesses;
-      return cached->time;
-    }
-  }
-
-  const auto n = config.hierarchy.cores;
-  const PhasePlan plan = make_phase_plan(context, n);
-
-  double total_cycles = 0.0;
-  std::uint64_t accesses = 0;
-
-  // ---- Serial phase: one core, whole-footprint working set ----
-  if (plan.serial_window != 0) {
-    // Stream the generator through a chunked cursor instead of
-    // materializing the window: same record stream (bit-identical result),
-    // O(chunk) resident trace memory.
-    GeneratorTraceCursor cursor(
-        context.workload.make_generator(plan.serial_footprint_scale, context.seed),
-        plan.serial_window);
-    const sim::SystemResult result = sim::simulate_system_streaming(config, {&cursor});
-    const double cpi = result.cores[0].cpi;
-    total_cycles += cpi * plan.serial_ic;
-    accesses += result.cores[0].memory_accesses;
-  }
-
-  // ---- Parallel phase: SPMD across all n cores ----
-  if (plan.parallel_window != 0) {
-    // Generators are seeded independently per core (splitmix-derived, so
-    // (seed, core) pairs never alias) and stream chunk-at-a-time: peak
-    // trace memory drops from O(cores * window) records to O(cores *
-    // chunk) while the simulator consumes the identical streams.
-    std::vector<GeneratorTraceCursor> cursors;
-    cursors.reserve(n);
-    std::vector<TraceCursor*> cursor_ptrs;
-    cursor_ptrs.reserve(n);
-    for (std::uint32_t c = 0; c < n; ++c) {
-      cursors.emplace_back(
-          context.workload.make_generator(
-              plan.per_core_footprint_scale,
-              Rng::derive_stream_seed(context.seed, static_cast<std::uint64_t>(c))),
-          plan.parallel_window);
-      cursor_ptrs.push_back(&cursors.back());
-    }
-    const sim::SystemResult result = sim::simulate_system_streaming(config, cursor_ptrs);
-    for (const sim::CoreResult& core : result.cores) accesses += core.memory_accesses;
-    // Extrapolate the makespan linearly from the simulated window to the
-    // full per-core share.
-    const double scale = plan.parallel_ic_per_core / static_cast<double>(plan.parallel_window);
-    total_cycles += static_cast<double>(result.cycles) * scale;
-  }
-  C2B_ASSERT(total_cycles > 0.0, "design produced zero execution time");
-  // Time per unit work: divide by the work factor so rankings agree with
-  // the throughput objective of case I (see header).
-  const double time = total_cycles / plan.g_n;
-  if (!cache_key.empty()) cache.insert(cache_key, {time, accesses});
-  if (memory_accesses != nullptr) *memory_accesses += accesses;
-  return time;
-}
-
 namespace {
 
 /// Members of one work unit: indices into the caller's point list, all in
@@ -356,10 +324,9 @@ struct BatchUnitResult {
 };
 
 /// Simulate one unit: generate each phase's streams once into a shared
-/// chunk store and replay all members over them in lockstep. The phase
-/// structure, windows, and extrapolation mirror simulate_design_time
-/// line for line (via the shared PhasePlan); only the cursor type differs,
-/// which the kernel's results are provably insensitive to.
+/// chunk store and replay all members over them in lockstep. This is the
+/// only production simulation path of a design — simulate_design_time runs
+/// it on a one-member unit.
 BatchUnitResult run_batch_unit(const DseContext& context,
                                const std::vector<sim::SystemConfig>& configs,
                                const BatchUnit& unit, const ClassPrototypes* prototypes) {
@@ -369,42 +336,33 @@ BatchUnitResult run_batch_unit(const DseContext& context,
 
   // Clone the class prototype when one exists (and is clonable); fall back
   // to constructing from scratch. Both produce bit-identical streams.
-  const auto serial_generator = [&]() -> std::unique_ptr<TraceGenerator> {
+  const auto serial_stream = [&]() -> std::unique_ptr<TraceGenerator> {
     if (prototypes != nullptr && prototypes->serial != nullptr)
       if (auto cloned = prototypes->serial->clone()) return cloned;
-    return context.workload.make_generator(plan.serial_footprint_scale, context.seed);
+    return make_serial_generator(context, plan);
   };
-  const auto parallel_generator = [&](std::uint32_t c) -> std::unique_ptr<TraceGenerator> {
+  const auto parallel_stream = [&](std::uint32_t c) -> std::unique_ptr<TraceGenerator> {
     if (prototypes != nullptr && c < prototypes->parallel.size() &&
         prototypes->parallel[c] != nullptr)
       if (auto cloned = prototypes->parallel[c]->clone()) return cloned;
-    return context.workload.make_generator(
-        plan.per_core_footprint_scale,
-        Rng::derive_stream_seed(context.seed, static_cast<std::uint64_t>(c)));
+    return make_parallel_generator(context, plan, c);
   };
 
   std::vector<sim::SystemConfig> member_configs;
   member_configs.reserve(k);
   for (const std::size_t index : unit.members) member_configs.push_back(configs[index]);
 
-  std::vector<double> total_cycles(k, 0.0);
   BatchUnitResult out;
-  out.outcomes.resize(k);
-
   const auto fold_store_stats = [&out](const TraceChunkStore& store) {
     out.chunks_shared += store.stats().chunks_shared;
     out.regen_avoided_accesses += store.stats().regen_avoided_accesses;
   };
 
-  sim::BatchedReplayOptions options;
-  options.lockstep_records = context.lockstep_records;
-  options.use_simd = context.use_simd;
-  options.kernel_stats = &out.kernel;
-
   // ---- Serial phase: one shared stream, K single-core members ----
+  std::vector<sim::SystemResult> serial;
   if (plan.serial_window != 0) {
     TraceChunkStore store;
-    const std::size_t stream = store.add_stream(serial_generator(), plan.serial_window);
+    const std::size_t stream = store.add_stream(serial_stream(), plan.serial_window);
     store.set_readers(static_cast<std::uint32_t>(k));
     std::vector<ChunkCursor> cursors;
     cursors.reserve(k);
@@ -413,21 +371,15 @@ BatchUnitResult run_batch_unit(const DseContext& context,
       cursors.emplace_back(store, stream);
       member_cursors[m] = {&cursors.back()};
     }
-    const std::vector<sim::SystemResult> results =
-        sim::simulate_system_batched(member_configs, member_cursors, options);
-    for (std::size_t m = 0; m < k; ++m) {
-      const double cpi = results[m].cores[0].cpi;
-      total_cycles[m] += cpi * plan.serial_ic;
-      out.outcomes[m].memory_accesses += results[m].cores[0].memory_accesses;
-    }
+    serial = sim::simulate_system_batched(member_configs, member_cursors, &out.kernel);
     fold_store_stats(store);
   }
 
   // ---- Parallel phase: n shared streams, K n-core members ----
+  std::vector<sim::SystemResult> parallel;
   if (plan.parallel_window != 0) {
     TraceChunkStore store;
-    for (std::uint32_t c = 0; c < n; ++c)
-      store.add_stream(parallel_generator(c), plan.parallel_window);
+    for (std::uint32_t c = 0; c < n; ++c) store.add_stream(parallel_stream(c), plan.parallel_window);
     store.set_readers(static_cast<std::uint32_t>(k));
     std::vector<ChunkCursor> cursors;
     cursors.reserve(k * n);
@@ -439,25 +391,65 @@ BatchUnitResult run_batch_unit(const DseContext& context,
         member_cursors[m].push_back(&cursors.back());
       }
     }
-    const std::vector<sim::SystemResult> results =
-        sim::simulate_system_batched(member_configs, member_cursors, options);
-    const double scale = plan.parallel_ic_per_core / static_cast<double>(plan.parallel_window);
-    for (std::size_t m = 0; m < k; ++m) {
-      for (const sim::CoreResult& core : results[m].cores)
-        out.outcomes[m].memory_accesses += core.memory_accesses;
-      total_cycles[m] += static_cast<double>(results[m].cycles) * scale;
-    }
+    parallel = sim::simulate_system_batched(member_configs, member_cursors, &out.kernel);
     fold_store_stats(store);
   }
 
-  for (std::size_t m = 0; m < k; ++m) {
-    C2B_ASSERT(total_cycles[m] > 0.0, "design produced zero execution time");
-    out.outcomes[m].time = total_cycles[m] / plan.g_n;
-  }
+  out.outcomes.reserve(k);
+  for (std::size_t m = 0; m < k; ++m)
+    out.outcomes.push_back(fold_phases(plan, serial.empty() ? nullptr : &serial[m],
+                                       parallel.empty() ? nullptr : &parallel[m]));
   return out;
 }
 
 }  // namespace
+
+double simulate_design_time(const DseContext& context, const std::vector<double>& point,
+                            std::uint64_t* memory_accesses) {
+  const sim::SystemConfig config = config_for_design(context, point);
+
+  // Memoization: the result is a pure function of (config, workload, seed,
+  // windows) — all encoded in the key. A hit returns the bit-identical
+  // time and access count the original simulation produced.
+  const std::string cache_key = simulation_cache_key(context, config);
+  exec::SimCache& cache = exec::SimCache::global();
+  if (!cache_key.empty()) {
+    if (const auto cached = cache.find(cache_key)) {
+      // Replayed accesses never reach the simulator's sim.l1.* counters;
+      // this counter keeps the telemetry ledger balanced:
+      //   sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses
+      //     == total reported memory accesses.
+      C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached->memory_accesses);
+      if (memory_accesses != nullptr) *memory_accesses += cached->memory_accesses;
+      return cached->time;
+    }
+  }
+
+  const BatchSimOutcome outcome =
+      run_batch_unit(context, {config}, BatchUnit{{0}, 0}, nullptr).outcomes.front();
+  if (!cache_key.empty()) cache.insert(cache_key, {outcome.time, outcome.memory_accesses});
+  if (memory_accesses != nullptr) *memory_accesses += outcome.memory_accesses;
+  return outcome.time;
+}
+
+BatchSimOutcome simulate_design_time_reference(const DseContext& context,
+                                               const std::vector<double>& point) {
+  const sim::SystemConfig config = config_for_design(context, point);
+  const PhasePlan plan = make_phase_plan(context, config.hierarchy.cores);
+  std::optional<sim::SystemResult> serial;
+  if (plan.serial_window != 0)
+    serial = sim::simulate_system_reference(
+        config, {make_serial_generator(context, plan)->generate(plan.serial_window)});
+  std::optional<sim::SystemResult> parallel;
+  if (plan.parallel_window != 0) {
+    std::vector<Trace> traces;
+    traces.reserve(config.hierarchy.cores);
+    for (std::uint32_t c = 0; c < config.hierarchy.cores; ++c)
+      traces.push_back(make_parallel_generator(context, plan, c)->generate(plan.parallel_window));
+    parallel = sim::simulate_system_reference(config, traces);
+  }
+  return fold_phases(plan, serial ? &*serial : nullptr, parallel ? &*parallel : nullptr);
+}
 
 std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& context,
                                                            const std::vector<std::vector<double>>& points,
@@ -521,10 +513,10 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
 
   // Split each class into bounded units, greedily taking the largest
   // power of two <= min(remaining, kMaxBatchMembers) so unit widths are
-  // powers of two wherever the class size allows (the vectorized kernel's
-  // preferred lane counts; 36 -> 16,16,4). The layout depends only on the
-  // point list (never on thread count), so the units — and therefore every
-  // simulated stream pairing — are deterministic.
+  // powers of two wherever the class size allows (36 -> 16,16,4). The
+  // layout depends only on the point list (never on thread count), so the
+  // units — and therefore every simulated stream pairing — are
+  // deterministic.
   std::vector<BatchUnit> units;
   std::size_t class_count = 0;
   for (const auto& [cores, members] : classes) {
@@ -563,15 +555,11 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
             ClassPrototypes protos;
             if (units_per_class[class_index] < 2) return protos;
             const PhasePlan plan = make_phase_plan(context, class_cores[class_index]);
-            if (plan.serial_window != 0)
-              protos.serial = context.workload.make_generator(plan.serial_footprint_scale,
-                                                              context.seed);
+            if (plan.serial_window != 0) protos.serial = make_serial_generator(context, plan);
             if (plan.parallel_window != 0) {
               protos.parallel.reserve(class_cores[class_index]);
               for (std::uint32_t c = 0; c < class_cores[class_index]; ++c)
-                protos.parallel.push_back(context.workload.make_generator(
-                    plan.per_core_footprint_scale,
-                    Rng::derive_stream_seed(context.seed, static_cast<std::uint64_t>(c))));
+                protos.parallel.push_back(make_parallel_generator(context, plan, c));
             }
             return protos;
           });
@@ -667,7 +655,7 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   C2B_COUNTER_ADD("exec.batch.members", local.members);
   C2B_COUNTER_ADD("exec.batch.chunks_shared", local.chunks_shared);
   C2B_COUNTER_ADD("exec.batch.regen_avoided_accesses", local.regen_avoided_accesses);
-  // exec.batch.simd.* are bumped inside the vectorized kernel itself.
+  // exec.batch.simd.* are bumped inside the replay kernel itself.
   if (stats != nullptr) *stats = local;
   return outcomes;
 }

@@ -625,13 +625,260 @@ Trace gen_nonempty_trace(Rng& rng, std::size_t max_records) {
   return trace;
 }
 
+/// Random member configs sharing `proto`'s core count (so they can share
+/// one set of trace streams): issue/ROB/FU and both cache sizes vary.
+std::vector<sim::SystemConfig> gen_batch_members(Rng& rng, const sim::SystemConfig& proto,
+                                                 std::size_t width) {
+  std::vector<sim::SystemConfig> configs;
+  configs.reserve(width);
+  for (std::size_t m = 0; m < width; ++m) {
+    sim::SystemConfig config = proto;
+    config.core.issue_width = pick<std::uint32_t>(rng, {1, 2, 4});
+    config.core.rob_size =
+        std::max(config.core.issue_width, pick<std::uint32_t>(rng, {16, 32, 64, 128}));
+    config.core.functional_units = pick<std::uint32_t>(rng, {1, 2, 4, 8});
+    const sim::CacheGeometry& l1 = proto.hierarchy.l1_geometry;
+    config.hierarchy.l1_geometry.size_bytes = static_cast<std::uint64_t>(l1.line_bytes) *
+                                              l1.associativity *
+                                              pick<std::uint32_t>(rng, {4, 16, 64});
+    const sim::CacheGeometry& l2 = proto.hierarchy.l2_geometry;
+    config.hierarchy.l2_geometry.size_bytes = static_cast<std::uint64_t>(l2.line_bytes) *
+                                              l2.associativity *
+                                              pick<std::uint32_t>(rng, {64, 256, 1024});
+    config.validate();
+    configs.push_back(config);
+  }
+  return configs;
+}
+
+/// The kernel at batch widths {1,2,4,8,16} over shared chunk-store streams
+/// vs the per-cycle reference, member by member and every field bitwise.
+/// One random workload + core count per set; per width, a heterogeneous
+/// member list.
+void check_batch_widths(const OracleOptions& options, OracleReport& report) {
+  const std::size_t sets = std::max<std::size_t>(1, options.kernel_configs / 10);
+  for (std::size_t i = 0; i < sets; ++i) {
+    Rng rng(Rng::derive_stream_seed(options.seed, 70'000 + i));
+    const std::string repro = repro_line(options.seed, 70'000 + i);
+    const sim::SystemConfig proto = gen_system_config(rng);
+    const std::uint32_t n = proto.hierarchy.cores;
+    const WorkloadSpec spec = gen_workload_spec(rng);
+    const double scale = pick(rng, {1.0, 2.0});
+    const std::uint64_t window = 2'000 + rng.uniform_below(4'000);
+    const std::uint64_t stream_seed = rng.next();
+
+    // The exact streams every member consumes, materialized once for the
+    // reference kernel.
+    std::vector<Trace> traces;
+    traces.reserve(n);
+    for (std::uint32_t c = 0; c < n; ++c)
+      traces.push_back(
+          spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c))->generate(window));
+
+    for (const std::size_t width : {1, 2, 4, 8, 16}) {
+      const std::vector<sim::SystemConfig> configs = gen_batch_members(rng, proto, width);
+      TraceChunkStore store;
+      for (std::uint32_t c = 0; c < n; ++c)
+        store.add_stream(spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c)),
+                         window);
+      store.set_readers(static_cast<std::uint32_t>(width));
+      std::vector<ChunkCursor> cursors;
+      cursors.reserve(width * n);
+      std::vector<std::vector<TraceCursor*>> member_cursors(width);
+      for (std::size_t m = 0; m < width; ++m) {
+        member_cursors[m].reserve(n);
+        for (std::uint32_t c = 0; c < n; ++c) {
+          cursors.emplace_back(store, c);
+          member_cursors[m].push_back(&cursors.back());
+        }
+      }
+      sim::BatchKernelStats kernel;
+      const std::vector<sim::SystemResult> results =
+          sim::simulate_system_batched(configs, member_cursors, &kernel);
+
+      for (std::size_t m = 0; m < width; ++m) {
+        ++report.checks;
+        if (auto diff = diff_system_results(
+                results[m], sim::simulate_system_reference(configs[m], traces))) {
+          report.failures.push_back("width set #" + std::to_string(i) + " width=" +
+                                    std::to_string(width) + " member " + std::to_string(m) +
+                                    " (" + print_system_config(configs[m]) +
+                                    ") vs reference " + *diff + "; repro: " + repro);
+          break;
+        }
+      }
+      ++report.checks;
+      if (kernel.simd_steps == 0)
+        report.failures.push_back("width set #" + std::to_string(i) + " width=" +
+                                  std::to_string(width) +
+                                  ": kernel reported zero steps; repro: " + repro);
+    }
+  }
+}
+
+/// Random feasible design-point subset of a random DSE scenario (~70% of
+/// the grid, at least one point — gen_dse_scenario guarantees a feasible
+/// minimum exists).
+std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& scenario) {
+  const GridSpace space = make_design_space(scenario.axes);
+  std::vector<std::vector<double>> points;
+  space.for_each([&](std::size_t, const std::vector<double>& point) {
+    if (!design_feasible(scenario.context, point)) return;
+    if (rng.bernoulli(0.7)) points.push_back(point);
+  });
+  if (points.empty()) {
+    space.for_each([&](std::size_t, const std::vector<double>& point) {
+      if (points.empty() && design_feasible(scenario.context, point)) points.push_back(point);
+    });
+  }
+  return points;
+}
+
+/// The DSE layer vs simulate_design_time_reference on random design sets:
+/// per-point simulate_design_time and simulate_design_times_batched at
+/// every thread count, cold (cache off) and warm (cache populated by a
+/// batched run, then replayed batched and per point) — times and access
+/// counts bitwise, every point accounted for once, the telemetry ledger
+/// balanced.
+void check_design_sets(const OracleOptions& options, OracleReport& report) {
+  ExecStateGuard guard;
+  exec::SimCache& cache = exec::SimCache::global();
+  const std::size_t sets = std::max<std::size_t>(1, options.kernel_configs / 4);
+  for (std::size_t i = 0; i < sets; ++i) {
+    Rng rng(Rng::derive_stream_seed(options.seed, 60'000 + i));
+    const DseScenario scenario = gen_dse_scenario(rng);
+    const std::string repro = repro_line(options.seed, 60'000 + i);
+    const std::vector<std::vector<double>> points = gen_design_points(rng, scenario);
+    const std::string where = "design set #" + std::to_string(i) + " (" +
+                              print_dse_scenario(scenario) + ", " +
+                              std::to_string(points.size()) + " points)";
+    if (points.empty()) {
+      report.failures.push_back(where + " found no feasible point (generator bug); repro: " +
+                                repro);
+      continue;
+    }
+
+    std::vector<BatchSimOutcome> reference;
+    reference.reserve(points.size());
+    for (const std::vector<double>& point : points)
+      reference.push_back(simulate_design_time_reference(scenario.context, point));
+
+    const auto diff_outcome = [&](std::size_t j, double time,
+                                  std::uint64_t accesses) -> std::optional<std::string> {
+      if (!bit_equal(time, reference[j].time))
+        return "point " + std::to_string(j) + " time " + fmt(time) + " != reference " +
+               fmt(reference[j].time);
+      if (accesses != reference[j].memory_accesses)
+        return "point " + std::to_string(j) + " accesses " + std::to_string(accesses) +
+               " != reference " + std::to_string(reference[j].memory_accesses);
+      return std::nullopt;
+    };
+    const auto diff_outcomes = [&](const std::vector<BatchSimOutcome>& outcomes)
+        -> std::optional<std::string> {
+      for (std::size_t j = 0; j < points.size(); ++j)
+        if (auto diff = diff_outcome(j, outcomes[j].time, outcomes[j].memory_accesses))
+          return diff;
+      return std::nullopt;
+    };
+    const auto check_ledger = [&](const std::string& what, std::uint64_t reported) {
+      if (!C2B_OBS_ACTIVE()) return;
+      obs::Registry& registry = obs::Registry::global();
+      const std::uint64_t hits = registry.counter("sim.l1.hit").value();
+      const std::uint64_t misses = registry.counter("sim.l1.miss").value();
+      const std::uint64_t replayed = registry.counter("exec.simcache.replayed_accesses").value();
+      ++report.checks;
+      if (hits + misses + replayed != reported) {
+        std::ostringstream os;
+        os << where << " " << what << " ledger: sim.l1.hit " << hits << " + sim.l1.miss "
+           << misses << " + replayed " << replayed << " != reported accesses " << reported
+           << "; repro: " << repro;
+        report.failures.push_back(os.str());
+      }
+    };
+
+    // Cold per-point runs: every design really simulates, one at a time,
+    // through the K=1 production path.
+    cache.set_enabled(false);
+    exec::set_thread_count(1);
+    if (C2B_OBS_ACTIVE()) obs::Registry::global().reset_values();
+    std::uint64_t per_point_accesses = 0;
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      std::uint64_t accesses = 0;
+      const double time = simulate_design_time(scenario.context, points[j], &accesses);
+      per_point_accesses += accesses;
+      ++report.checks;
+      if (auto diff = diff_outcome(j, time, accesses)) {
+        report.failures.push_back(where + " per-point: " + *diff + "; repro: " + repro);
+        break;
+      }
+    }
+    check_ledger("per-point", per_point_accesses);
+
+    // Cold batched runs at every thread count.
+    for (const std::size_t threads : options.thread_counts) {
+      exec::set_thread_count(threads);
+      if (C2B_OBS_ACTIVE()) obs::Registry::global().reset_values();
+      BatchReplayStats stats;
+      const std::vector<BatchSimOutcome> outcomes =
+          simulate_design_times_batched(scenario.context, points, &stats);
+      const std::string what = "threads=" + std::to_string(threads);
+      ++report.checks;
+      if (auto diff = diff_outcomes(outcomes)) {
+        report.failures.push_back(where + " " + what + ": " + *diff + "; repro: " + repro);
+        break;
+      }
+      if (stats.members + stats.cache_hits != points.size() || stats.cache_hits != 0) {
+        report.failures.push_back(
+            where + " " + what + ": accounting off (members " + std::to_string(stats.members) +
+            " + hits " + std::to_string(stats.cache_hits) +
+            " with the cache disabled); repro: " + repro);
+      }
+      std::uint64_t reported = 0;
+      for (const BatchSimOutcome& o : outcomes) reported += o.memory_accesses;
+      check_ledger(what, reported);
+    }
+
+    // Warm path: a batched run bulk-inserts its results; a second batched
+    // run and per-point runs must replay those exact values.
+    cache.set_enabled(true);
+    cache.clear();
+    exec::set_thread_count(options.thread_counts.back());
+    const std::vector<BatchSimOutcome> cold =
+        simulate_design_times_batched(scenario.context, points, nullptr);
+    BatchReplayStats warm_stats;
+    const std::vector<BatchSimOutcome> warm =
+        simulate_design_times_batched(scenario.context, points, &warm_stats);
+    ++report.checks;
+    if (auto diff = diff_outcomes(cold)) {
+      report.failures.push_back(where + " cold cached run: " + *diff + "; repro: " + repro);
+    } else if (auto warm_diff = diff_outcomes(warm)) {
+      report.failures.push_back(where + " warm replay: " + *warm_diff + "; repro: " + repro);
+    } else if (warm_stats.cache_hits != points.size()) {
+      report.failures.push_back(where + " warm run peeled only " +
+                                std::to_string(warm_stats.cache_hits) +
+                                " points from the cache; repro: " + repro);
+    } else {
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        std::uint64_t accesses = 0;
+        const double time = simulate_design_time(scenario.context, points[j], &accesses);
+        if (auto diff = diff_outcome(j, time, accesses)) {
+          report.failures.push_back(where + " per-point warm replay: " + *diff +
+                                    "; repro: " + repro);
+          break;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "kernel";
+  C2B_REQUIRE(!options.thread_counts.empty(), "kernel oracle needs thread counts");
 
-  // --- event kernel vs per-cycle reference, bitwise -----------------------
+  // --- per-point kernel vs per-cycle reference, bitwise -------------------
   // Random configurations with coherence and prefetching forced on for a
   // share of the cases (the stock generator leaves both off), random
   // per-core traces, and — when telemetry is live — the demand-access
@@ -726,316 +973,9 @@ OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
       }
     }
   }
-  return report;
-}
 
-OracleReport run_batch_equivalence_oracle(const OracleOptions& options) {
-  OracleReport report;
-  report.family = "batch";
-  C2B_REQUIRE(!options.thread_counts.empty(), "batch oracle needs thread counts");
-  ExecStateGuard guard;
-  exec::SimCache& cache = exec::SimCache::global();
-
-  for (std::size_t i = 0; i < options.batch_sets; ++i) {
-    Rng rng(Rng::derive_stream_seed(options.seed, 60'000 + i));
-    const DseScenario scenario = gen_dse_scenario(rng);
-    const GridSpace space = make_design_space(scenario.axes);
-    const std::string repro = repro_line(options.seed, 60'000 + i);
-
-    // Random feasible design-point subset (~70% of the grid, at least one
-    // point — gen_dse_scenario guarantees a feasible minimum exists).
-    std::vector<std::vector<double>> points;
-    space.for_each([&](std::size_t, const std::vector<double>& point) {
-      if (!design_feasible(scenario.context, point)) return;
-      if (rng.bernoulli(0.7)) points.push_back(point);
-    });
-    if (points.empty()) {
-      space.for_each([&](std::size_t, const std::vector<double>& point) {
-        if (points.empty() && design_feasible(scenario.context, point)) points.push_back(point);
-      });
-    }
-    if (points.empty()) {
-      report.failures.push_back("batch set #" + std::to_string(i) +
-                                " found no feasible point (generator bug); repro: " + repro);
-      continue;
-    }
-
-    // Per-point reference with the cache off: every design really
-    // simulates, one at a time, through the unbatched path.
-    cache.set_enabled(false);
-    exec::set_thread_count(1);
-    std::vector<double> ref_times(points.size(), 0.0);
-    std::vector<std::uint64_t> ref_accesses(points.size(), 0);
-    for (std::size_t j = 0; j < points.size(); ++j)
-      ref_times[j] = simulate_design_time(scenario.context, points[j], &ref_accesses[j]);
-
-    const auto diff_outcomes = [&](const std::vector<BatchSimOutcome>& outcomes)
-        -> std::optional<std::string> {
-      for (std::size_t j = 0; j < points.size(); ++j) {
-        if (!bit_equal(outcomes[j].time, ref_times[j]))
-          return "point " + std::to_string(j) + " time " + fmt(outcomes[j].time) +
-                 " != per-point " + fmt(ref_times[j]);
-        if (outcomes[j].memory_accesses != ref_accesses[j])
-          return "point " + std::to_string(j) + " accesses " +
-                 std::to_string(outcomes[j].memory_accesses) + " != per-point " +
-                 std::to_string(ref_accesses[j]);
-      }
-      return std::nullopt;
-    };
-
-    // Batched replay at every thread count must reproduce the per-point
-    // reference bitwise, account for every point exactly once, and keep
-    // the telemetry ledger balanced.
-    for (const std::size_t threads : options.thread_counts) {
-      exec::set_thread_count(threads);
-      if (C2B_OBS_ACTIVE()) obs::Registry::global().reset_values();
-      BatchReplayStats stats;
-      const std::vector<BatchSimOutcome> outcomes =
-          simulate_design_times_batched(scenario.context, points, &stats);
-      ++report.checks;
-      if (auto diff = diff_outcomes(outcomes)) {
-        report.failures.push_back("batch set #" + std::to_string(i) + " (" +
-                                  print_dse_scenario(scenario) + ", " +
-                                  std::to_string(points.size()) + " points) threads=" +
-                                  std::to_string(threads) + ": " + *diff +
-                                  "; repro: " + repro);
-        break;
-      }
-      if (stats.members + stats.cache_hits != points.size() || stats.cache_hits != 0) {
-        report.failures.push_back(
-            "batch set #" + std::to_string(i) + " threads=" + std::to_string(threads) +
-            ": accounting off (members " + std::to_string(stats.members) + " + hits " +
-            std::to_string(stats.cache_hits) + " != " + std::to_string(points.size()) +
-            " points with the cache disabled); repro: " + repro);
-      }
-      if (C2B_OBS_ACTIVE()) {
-        std::uint64_t reported = 0;
-        for (const BatchSimOutcome& o : outcomes) reported += o.memory_accesses;
-        obs::Registry& registry = obs::Registry::global();
-        const std::uint64_t hits = registry.counter("sim.l1.hit").value();
-        const std::uint64_t misses = registry.counter("sim.l1.miss").value();
-        const std::uint64_t replayed =
-            registry.counter("exec.simcache.replayed_accesses").value();
-        ++report.checks;
-        if (hits + misses + replayed != reported) {
-          std::ostringstream os;
-          os << "batch set #" << i << " threads=" << threads << " ledger: sim.l1.hit "
-             << hits << " + sim.l1.miss " << misses << " + replayed " << replayed
-             << " != reported accesses " << reported << "; repro: " << repro;
-          report.failures.push_back(os.str());
-        }
-      }
-    }
-
-    // Warm path: a batched run bulk-inserts its results; a second batched
-    // run and per-point runs must replay those exact values.
-    cache.set_enabled(true);
-    cache.clear();
-    exec::set_thread_count(options.thread_counts.back());
-    BatchReplayStats cold_stats;
-    const std::vector<BatchSimOutcome> cold =
-        simulate_design_times_batched(scenario.context, points, &cold_stats);
-    BatchReplayStats warm_stats;
-    const std::vector<BatchSimOutcome> warm =
-        simulate_design_times_batched(scenario.context, points, &warm_stats);
-    ++report.checks;
-    if (auto diff = diff_outcomes(cold)) {
-      report.failures.push_back("batch set #" + std::to_string(i) +
-                                " cold cached run diverged: " + *diff + "; repro: " + repro);
-    } else if (auto warm_diff = diff_outcomes(warm)) {
-      report.failures.push_back("batch set #" + std::to_string(i) +
-                                " warm replay diverged: " + *warm_diff + "; repro: " + repro);
-    } else if (warm_stats.cache_hits != points.size()) {
-      report.failures.push_back(
-          "batch set #" + std::to_string(i) + " warm run peeled only " +
-          std::to_string(warm_stats.cache_hits) + " of " + std::to_string(points.size()) +
-          " points from the cache; repro: " + repro);
-    } else {
-      std::uint64_t warm_per_point_accesses = 0;
-      for (std::size_t j = 0; j < points.size(); ++j) {
-        const double warm_time =
-            simulate_design_time(scenario.context, points[j], &warm_per_point_accesses);
-        if (!bit_equal(warm_time, ref_times[j])) {
-          report.failures.push_back("batch set #" + std::to_string(i) + " point " +
-                                    std::to_string(j) +
-                                    ": per-point replay of the bulk-inserted value " +
-                                    fmt(warm_time) + " != " + fmt(ref_times[j]) +
-                                    "; repro: " + repro);
-          break;
-        }
-      }
-    }
-  }
-  return report;
-}
-
-OracleReport run_simd_equivalence_oracle(const OracleOptions& options) {
-  OracleReport report;
-  report.family = "simd";
-  C2B_REQUIRE(!options.thread_counts.empty(), "simd oracle needs thread counts");
-
-  // Whether the vectorized kernel will actually run (same policy as the
-  // dispatcher): used only to decide if simd telemetry must be non-zero —
-  // the bit-identity checks below hold either way, which is exactly what
-  // the forced-scalar CI job relies on.
-  const bool simd_on = [] {
-#if defined(C2B_DISABLE_SIMD)
-    return false;
-#else
-    const char* env = std::getenv("C2B_NO_SIMD");
-    return env == nullptr || env[0] == '\0' || std::strcmp(env, "0") == 0;
-#endif
-  }();
-
-  const std::size_t widths[] = {2, 4, 8, 16};
-  const std::uint64_t granularities[] = {1, 7, 4096};
-
-  // --- vectorized vs scalar-lockstep vs per-cycle reference, bitwise ------
-  // One random workload + core count per set; per width, a heterogeneous
-  // member list (issue/ROB/FU/cache geometry all vary, trace streams
-  // shared); the per-cycle reference runs once per (set, width) and every
-  // (vectorized, scalar) x granularity combination must reproduce it
-  // bitwise, member by member.
-  for (std::size_t i = 0; i < options.simd_sets; ++i) {
-    Rng rng(Rng::derive_stream_seed(options.seed, 70'000 + i));
-    const std::string repro = repro_line(options.seed, 70'000 + i);
-    const sim::SystemConfig proto = gen_system_config(rng);
-    const std::uint32_t n = proto.hierarchy.cores;
-    const WorkloadSpec spec = gen_workload_spec(rng);
-    const double scale = pick(rng, {1.0, 2.0});
-    const std::uint64_t window = 2'000 + rng.uniform_below(4'000);
-    const std::uint64_t stream_seed = rng.next();
-
-    // The exact streams every replay consumes, materialized once for the
-    // reference kernel.
-    std::vector<Trace> traces;
-    traces.reserve(n);
-    for (std::uint32_t c = 0; c < n; ++c)
-      traces.push_back(
-          spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c))->generate(window));
-
-    const auto make_store = [&](TraceChunkStore& store, std::size_t readers) {
-      for (std::uint32_t c = 0; c < n; ++c)
-        store.add_stream(spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c)),
-                         window);
-      store.set_readers(static_cast<std::uint32_t>(readers));
-    };
-
-    for (const std::size_t width : widths) {
-      // Heterogeneous member configs sharing the trace shape (core count).
-      std::vector<sim::SystemConfig> configs;
-      configs.reserve(width);
-      for (std::size_t m = 0; m < width; ++m) {
-        sim::SystemConfig config = proto;
-        config.core.issue_width = pick<std::uint32_t>(rng, {1, 2, 4});
-        config.core.rob_size =
-            std::max(config.core.issue_width, pick<std::uint32_t>(rng, {16, 32, 64, 128}));
-        config.core.functional_units = pick<std::uint32_t>(rng, {1, 2, 4, 8});
-        const sim::CacheGeometry& l1 = proto.hierarchy.l1_geometry;
-        config.hierarchy.l1_geometry.size_bytes = static_cast<std::uint64_t>(l1.line_bytes) *
-                                                  l1.associativity *
-                                                  pick<std::uint32_t>(rng, {4, 16, 64});
-        const sim::CacheGeometry& l2 = proto.hierarchy.l2_geometry;
-        config.hierarchy.l2_geometry.size_bytes = static_cast<std::uint64_t>(l2.line_bytes) *
-                                                  l2.associativity *
-                                                  pick<std::uint32_t>(rng, {64, 256, 1024});
-        config.validate();
-        configs.push_back(config);
-      }
-
-      std::vector<sim::SystemResult> reference;
-      reference.reserve(width);
-      for (std::size_t m = 0; m < width; ++m)
-        reference.push_back(sim::simulate_system_reference(configs[m], traces));
-
-      for (const std::uint64_t granularity : granularities) {
-        for (const bool use_simd : {true, false}) {
-          TraceChunkStore store;
-          make_store(store, width);
-          std::vector<ChunkCursor> cursors;
-          cursors.reserve(width * n);
-          std::vector<std::vector<TraceCursor*>> member_cursors(width);
-          for (std::size_t m = 0; m < width; ++m) {
-            member_cursors[m].reserve(n);
-            for (std::uint32_t c = 0; c < n; ++c) {
-              cursors.emplace_back(store, c);
-              member_cursors[m].push_back(&cursors.back());
-            }
-          }
-          sim::BatchedReplayOptions batch_options;
-          batch_options.lockstep_records = granularity;
-          batch_options.use_simd = use_simd;
-          sim::BatchKernelStats kernel;
-          batch_options.kernel_stats = &kernel;
-          const std::vector<sim::SystemResult> results =
-              sim::simulate_system_batched(configs, member_cursors, batch_options);
-
-          const std::string what = std::string(use_simd ? "vectorized" : "scalar") +
-                                   " width=" + std::to_string(width) +
-                                   " lockstep=" + std::to_string(granularity);
-          for (std::size_t m = 0; m < width; ++m) {
-            ++report.checks;
-            if (auto diff = diff_system_results(results[m], reference[m])) {
-              report.failures.push_back("simd set #" + std::to_string(i) + " " + what +
-                                        " member " + std::to_string(m) + " vs reference " +
-                                        *diff + "; repro: " + repro);
-              break;
-            }
-          }
-          ++report.checks;
-          if (use_simd && simd_on && kernel.simd_steps == 0) {
-            report.failures.push_back("simd set #" + std::to_string(i) + " " + what +
-                                      ": vectorized kernel reported zero steps; repro: " +
-                                      repro);
-          } else if (!use_simd && kernel.simd_steps != 0) {
-            report.failures.push_back("simd set #" + std::to_string(i) + " " + what +
-                                      ": scalar run reported simd steps; repro: " + repro);
-          }
-        }
-      }
-    }
-  }
-
-  // --- DSE driver: vectorized on vs off, bit-identical at every thread
-  // count (also exercises prototype-generator cloning under the pool) -----
-  ExecStateGuard guard;
-  exec::SimCache& cache = exec::SimCache::global();
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, options.simd_sets / 2); ++i) {
-    Rng rng(Rng::derive_stream_seed(options.seed, 71'000 + i));
-    const std::string repro = repro_line(options.seed, 71'000 + i);
-    const DseScenario scenario = gen_dse_scenario(rng);
-    const GridSpace space = make_design_space(scenario.axes);
-    std::vector<std::vector<double>> points;
-    space.for_each([&](std::size_t, const std::vector<double>& point) {
-      if (design_feasible(scenario.context, point)) points.push_back(point);
-    });
-    if (points.empty()) continue;
-
-    cache.set_enabled(false);
-    exec::set_thread_count(1);
-    DseContext scalar_context = scenario.context;
-    scalar_context.use_simd = false;
-    const std::vector<BatchSimOutcome> scalar_ref =
-        simulate_design_times_batched(scalar_context, points, nullptr);
-
-    for (const std::size_t threads : options.thread_counts) {
-      exec::set_thread_count(threads);
-      BatchReplayStats stats;
-      const std::vector<BatchSimOutcome> vectorized =
-          simulate_design_times_batched(scenario.context, points, &stats);
-      ++report.checks;
-      for (std::size_t j = 0; j < points.size(); ++j) {
-        if (!bit_equal(vectorized[j].time, scalar_ref[j].time) ||
-            vectorized[j].memory_accesses != scalar_ref[j].memory_accesses) {
-          report.failures.push_back(
-              "simd dse set #" + std::to_string(i) + " threads=" + std::to_string(threads) +
-              " point " + std::to_string(j) + ": vectorized " + fmt(vectorized[j].time) +
-              " != scalar " + fmt(scalar_ref[j].time) + "; repro: " + repro);
-          break;
-        }
-      }
-    }
-  }
+  check_batch_widths(options, report);
+  check_design_sets(options, report);
   return report;
 }
 
@@ -1518,10 +1458,9 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
 }
 
 std::vector<OracleReport> run_all_oracles(const OracleOptions& options) {
-  return {run_analytic_vs_sim_oracle(options),   run_determinism_oracle(options),
-          run_invariant_oracle(options),         run_kernel_equivalence_oracle(options),
-          run_batch_equivalence_oracle(options), run_simd_equivalence_oracle(options),
-          run_constraint_oracle(options),        run_surrogate_oracle(options),
+  return {run_analytic_vs_sim_oracle(options), run_determinism_oracle(options),
+          run_invariant_oracle(options),       run_kernel_equivalence_oracle(options),
+          run_constraint_oracle(options),      run_surrogate_oracle(options),
           run_persistent_cache_oracle(options)};
 }
 

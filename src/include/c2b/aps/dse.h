@@ -57,11 +57,6 @@ struct DseContext {
   std::uint64_t instructions0 = 60'000;  ///< IC0 of the scaled-down study
   std::uint64_t per_core_cap = 40'000;   ///< simulation window cap per core
   std::uint64_t seed = 99;
-  // Batched-replay tuning (results are bit-identical for any values, so
-  // neither belongs in simulation cache keys): lockstep granularity and the
-  // vectorized-kernel escape hatch, forwarded to BatchedReplayOptions.
-  std::uint64_t lockstep_records = 4096;
-  bool use_simd = true;
   // Multi-resource budgets (+infinity = that resource is unconstrained)
   // and the analytic demand models behind them. Budgets only *filter* the
   // design space — they never change what a simulation computes, so they
@@ -139,6 +134,14 @@ struct BatchSimOutcome {
   std::uint64_t memory_accesses = 0;
 };
 
+/// The differential baseline for simulate_design_time: the same phase plan
+/// and extrapolation, but over materialized traces on the per-cycle
+/// reference kernel (sim::simulate_system_reference), with no sim cache.
+/// The `kernel` oracle family requires the production paths to equal it
+/// bitwise. Not for production use — it walks every cycle.
+BatchSimOutcome simulate_design_time_reference(const DseContext& context,
+                                               const std::vector<double>& point);
+
 /// What a batched sweep did, for CLI summaries and tests (the same numbers
 /// are emitted as exec.batch.* telemetry counters).
 struct BatchReplayStats {
@@ -148,8 +151,7 @@ struct BatchReplayStats {
   std::size_t cache_hits_disk = 0;  ///< the subset of cache_hits served from the disk tier
   std::uint64_t chunks_shared = 0;            ///< extra consumers over generated chunks
   std::uint64_t regen_avoided_accesses = 0;   ///< memory accesses not regenerated
-  // Vectorized-kernel accounting (sim::BatchKernelStats, summed over
-  // units): all zero when every unit ran the scalar fallback.
+  // Replay-kernel accounting (sim::BatchKernelStats, summed over units).
   std::uint64_t simd_steps = 0;
   std::uint64_t simd_peels = 0;
   std::uint64_t simd_lanes_active = 0;
@@ -195,7 +197,7 @@ struct SurrogateStats {
 /// units and scheduled on the exec thread pool; the unit layout is a pure
 /// function of the point list, so results are bit-identical at any thread
 /// count — and bit-identical to calling simulate_design_time per point
-/// (the `batch` oracle family enforces this). Results are bulk-inserted
+/// (the `kernel` oracle family enforces this). Results are bulk-inserted
 /// into the sim cache afterwards; duplicate points in one call are
 /// simulated redundantly rather than cross-hitting mid-sweep.
 std::vector<BatchSimOutcome> simulate_design_times_batched(
@@ -234,7 +236,7 @@ struct ParetoDseResult {
 
 /// Pareto-frontier DSE: filter the factorial grid by design_constraints
 /// (counting per-constraint rejections), evaluate every feasible point with
-/// the batched/SIMD replay engine (sim cache and trace classing unchanged),
+/// the batched replay engine (sim cache and trace classing unchanged),
 /// attach analytic power and area to each simulated time, and keep the
 /// non-dominated set under minimize-(time, power, area). Ties equal in all
 /// three coordinates are all kept. The frontier is sorted by

@@ -71,8 +71,7 @@ struct RunReport {
   double disk_entries = 0.0;
   double disk_flushes = 0.0;
   double disk_drops = 0.0;        ///< corrupt/stale/overflowed records skipped
-  // Vectorized-kernel accounting (exec.batch.simd.*); all zero when every
-  // unit ran the scalar lockstep fallback.
+  // Replay-kernel accounting (exec.batch.simd.*).
   double simd_steps = 0.0;
   double simd_peels = 0.0;
   double simd_lanes_active = 0.0;

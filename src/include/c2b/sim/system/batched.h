@@ -1,73 +1,34 @@
 #pragma once
 
-// Batched multi-config replay.
+// Batched multi-config replay: the simulator's one production kernel.
 //
-// SystemReplay is the PR 4 event-driven kernel (simulate_system_streaming)
-// reshaped into a resumable object: all loop state lives in the object, and
-// advance_until() processes events until the run finishes or the cursors
-// have consumed a target number of trace records. Pausing between events is
-// invisible to the simulation — the event heap fully determines what runs
-// next — so a SystemReplay driven in any number of advance_until() slices
-// produces a SystemResult bit-identical to one simulate_system_streaming()
-// call over the same config and cursors.
+// simulate_system_batched runs K >= 1 members (member k = configs[k] over
+// cursors[k]) inside one event loop. Every member's per-core next-event
+// cycles live in one flat array; each event is picked by an argmin over
+// the member's slice and processed by the shared step body
+// (detail::step_core). The per-point entry points in system.h
+// (simulate_system, simulate_system_streaming, simulate_single_core) are
+// K=1 calls into it.
 //
-// simulate_system_batched drives K replays over shared ChunkCursor streams
-// in lockstep: every member is advanced to a common, monotonically growing
-// record target before any member moves past it. Members therefore stay
-// within ~one chunk of each other (TraceCursor::compute_run never overruns
-// the resident chunk), the chunk store's resident window stays O(chunk) per
-// stream, and each generated chunk is consumed by all K members while hot
-// in cache instead of being regenerated K times.
+// Members advance in lockstep over the shared trace streams: every member
+// is driven to a common, monotonically growing record target before any
+// member moves past it. Members therefore stay within ~one chunk of each
+// other (TraceCursor::compute_run never overruns the resident chunk), the
+// chunk store's resident window stays O(chunk) per stream, and each
+// generated chunk is consumed by all K members while hot in cache instead
+// of being regenerated K times.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "c2b/sim/system/system.h"
 
 namespace c2b::sim {
 
-/// Resumable event-kernel run over one SystemConfig + cursor set. The
-/// cursors are borrowed and must outlive the replay; results are identical
-/// to simulate_system_streaming(config, cursors) regardless of how the run
-/// is sliced into advance_until() calls.
-class SystemReplay {
- public:
-  SystemReplay(const SystemConfig& config, std::vector<TraceCursor*> cursors);
-  ~SystemReplay();
-
-  SystemReplay(const SystemReplay&) = delete;
-  SystemReplay& operator=(const SystemReplay&) = delete;
-  SystemReplay(SystemReplay&&) noexcept;
-  SystemReplay& operator=(SystemReplay&&) noexcept;
-
-  /// Process events until the run finishes or consumed_records() reaches
-  /// `record_target` (summed across this replay's cursors). Returns
-  /// finished(). Monotone: targets at or below the current consumption
-  /// return without doing work only if an event boundary was already
-  /// reached — each call always completes whole events, never partial ones.
-  bool advance_until(std::uint64_t record_target);
-
-  /// True once the event heap has drained (all cores done).
-  bool finished() const noexcept;
-
-  /// Trace records consumed so far, summed across cursors.
-  std::uint64_t consumed_records() const noexcept;
-
-  /// Final result; valid only once finished() is true. Call at most once —
-  /// building it folds the per-core detectors, which is a one-shot step.
-  SystemResult result();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Vectorized-kernel accounting for one simulate_system_batched call (all
-/// zero when the scalar fallback ran). Also published as the
-/// exec.batch.simd.{steps,peels,lanes_active} telemetry counters.
+/// Kernel accounting for one simulate_system_batched call. Also published
+/// as the exec.batch.simd.{steps,peels,lanes_active} telemetry counters.
 struct BatchKernelStats {
-  std::uint64_t simd_steps = 0;  ///< events processed by the vectorized kernel
+  std::uint64_t simd_steps = 0;  ///< events processed by the kernel
   /// Records issued through the scalar per-record path (the remainder went
   /// through closed-form compute jumps): the kernel's divergence rate is
   /// simd_peels / records consumed.
@@ -83,32 +44,16 @@ struct BatchKernelStats {
   }
 };
 
-struct BatchedReplayOptions {
-  /// Lockstep granularity: how many records each member may consume past
-  /// the previous common target before every member is caught up. One
-  /// chunk keeps the shared stream's resident window minimal while still
-  /// amortizing the round-robin sweep.
-  std::uint64_t lockstep_records = 4096;
-  /// Dispatch policy: batches of >= 2 members run the vectorized lockstep
-  /// kernel (batched_simd.cpp) unless this is false, the build disabled it
-  /// (-DC2B_DISABLE_SIMD=ON), or C2B_NO_SIMD=1 is set in the environment.
-  /// Results are bit-identical either way; this is an escape hatch, not a
-  /// semantic knob (it does not belong in sim-cache keys).
-  bool use_simd = true;
-  /// Optional out-param: vectorized-kernel stats are accumulated (+=) into
-  /// it when non-null.
-  BatchKernelStats* kernel_stats = nullptr;
-};
-
 /// Simulate `configs.size()` members in lockstep; member k runs
 /// configs[k] over cursors[k]. Members may share cursor sources (e.g.
 /// ChunkCursors over one TraceChunkStore stream) — each member owns its
 /// *cursor objects*, never shares them. Returns one SystemResult per
-/// member, each bit-identical to simulate_system_streaming on that member
-/// alone.
+/// member, each bit-identical to simulate_system_reference on that member
+/// alone. `kernel_stats`, when non-null, accumulates (+=) the kernel
+/// accounting. Throws on an invalid config or an empty trace.
 std::vector<SystemResult> simulate_system_batched(
     const std::vector<SystemConfig>& configs,
     const std::vector<std::vector<TraceCursor*>>& cursors,
-    const BatchedReplayOptions& options = {});
+    BatchKernelStats* kernel_stats = nullptr);
 
 }  // namespace c2b::sim

@@ -64,7 +64,9 @@ struct SystemResult {
 };
 
 /// Run every core to the end of its trace. Cores without a trace (fewer
-/// traces than cores) idle. Throws on invalid configuration.
+/// traces than cores) idle. Throws on invalid configuration. This and the
+/// other per-point entry points are K=1 calls into the one replay kernel,
+/// simulate_system_batched (batched.h).
 SystemResult simulate_system(const SystemConfig& config, const std::vector<Trace>& per_core_traces);
 
 /// Streaming form of simulate_system: one cursor per core, consumed as the
@@ -75,10 +77,10 @@ SystemResult simulate_system_streaming(const SystemConfig& config,
                                        const std::vector<TraceCursor*>& cursors);
 
 /// The seed per-cycle kernel, retained verbatim as the differential
-/// baseline for the event-driven kernel (`c2b check --family kernel` and
-/// the perf-labeled equivalence stress tests compare every SystemResult
-/// field bitwise against it). Not for production use — it walks every
-/// cycle and materialized traces only.
+/// baseline for the replay kernel (`c2b check --family kernel` and the
+/// equivalence tests compare every SystemResult field bitwise against it).
+/// Not for production use — it walks every cycle and materialized traces
+/// only.
 SystemResult simulate_system_reference(const SystemConfig& config,
                                        const std::vector<Trace>& per_core_traces);
 

@@ -170,8 +170,6 @@ JobOutcome run_check_job(const JobRequest& request) {
       {"determinism", check::run_determinism_oracle},
       {"invariants", check::run_invariant_oracle},
       {"kernel", check::run_kernel_equivalence_oracle},
-      {"batch", check::run_batch_equivalence_oracle},
-      {"simd", check::run_simd_equivalence_oracle},
       {"constraint", check::run_constraint_oracle},
       {"surrogate", check::run_surrogate_oracle},
       {"cache", check::run_persistent_cache_oracle},
@@ -235,8 +233,8 @@ std::optional<JobRequest> JobRequest::parse(const std::string& body, std::string
   if (request.type == "check") {
     const std::string family = request.str("family", "invariants");
     bool known = false;
-    for (const char* name : {"analytic", "determinism", "invariants", "kernel", "batch",
-                             "simd", "constraint", "surrogate", "cache"})
+    for (const char* name : {"analytic", "determinism", "invariants", "kernel", "constraint",
+                             "surrogate", "cache"})
       known = known || family == name;
     if (!known) {
       if (error != nullptr) *error = "unknown oracle family '" + family + "'";

@@ -1,20 +1,16 @@
 #pragma once
 
-// Struct-of-arrays batch state for the replay kernels (private header).
+// Struct-of-arrays member state for the replay kernel (private header).
 //
 // The event-driven kernel's per-config hot state — RLE ROB ring heads and
 // groups, last-memory-completion cycles, retirement counters, C-AMAT
-// detector handles, next-event cycles — lives here as flat parallel arrays
-// (CoreLanes spans the cores of one member; the vectorized batch kernel in
-// batched_simd.cpp lays K members' lanes side by side and scans their
-// next-event cycles with batch primitives). The per-event step itself is
-// `step_core`, a function template over the concrete cursor type: the
-// scalar SystemReplay instantiates it with the abstract TraceCursor, the
-// batch kernel with ChunkCursor (a final class, so peek/advance/compute_run
-// devirtualize). Both kernels therefore execute the *same* step code —
-// bit-identity between them needs no argument beyond event ordering, which
-// each caller owns (a (cycle, core) min-heap vs a flat next-cycle array
-// with an argmin scan; see batched_simd.cpp for why those orders agree).
+// detector handles — lives here as flat parallel arrays (CoreLanes spans
+// the cores of one member; the kernel in batched.cpp lays K members'
+// next-event cycles side by side and picks each event with an argmin over
+// the member's slice). The per-event step itself is `step_core`, a
+// function template over the concrete cursor type: the kernel instantiates
+// it with ChunkCursor (a final class, so peek/advance/compute_run
+// devirtualize) and with the abstract TraceCursor for every other source.
 
 #include <algorithm>
 #include <cstdint>
@@ -106,10 +102,10 @@ struct CoreLanes {
   }
 };
 
-/// All kernel loop state of one batch member (one SystemConfig run):
-/// the former SystemReplay locals minus the cursors and the event order,
-/// which each kernel supplies. step_core() processes exactly one event and
-/// is the seed kernel's loop body unchanged.
+/// All kernel loop state of one batch member (one SystemConfig run) minus
+/// the cursors and the event order, which the kernel loop supplies.
+/// step_core() processes exactly one event and is the seed kernel's loop
+/// body unchanged.
 struct MemberState {
   MemoryHierarchy hierarchy;
   std::uint32_t width;
@@ -127,9 +123,8 @@ struct MemberState {
   bool any_visited = false;
 
   std::uint64_t consumed = 0;  ///< trace records consumed across cursors
-  bool counters_flushed = false;
 
-  // Vectorization accounting (read by the batch kernel's telemetry): every
+  // Kernel accounting (read by the kernel's telemetry): every
   // consumed record is either advanced by a closed-form compute jump
   // (fast_records) or issued through the scalar per-record path
   // (peel_records), so fast_records + peel_records == consumed.
@@ -146,7 +141,7 @@ struct MemberState {
         lanes(cores, config.core.rob_size) {}
 
   /// Flush the one-shot kernel counters (call exactly once, when the run
-  /// finishes — both kernels guard with counters_flushed).
+  /// finishes).
   void flush_kernel_counters();
 
   /// Final per-member SystemResult; folds the detectors (one-shot).
@@ -306,7 +301,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
   // Periodically fold finished cycles into the detector's counters so its
   // live window stays bounded. Any watermark <= `cycle` is safe (every
   // future access starts at or after `cycle`), and the fold cadence does
-  // not affect the finalized metrics (see system.cpp's header comment).
+  // not affect the finalized metrics (see batched.cpp's header comment).
   if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
     lanes.last_detector_fold[c] = cycle;
     lanes.detectors[c].advance(cycle);

@@ -102,62 +102,31 @@ TEST(CliArgsTest, FinishThrowsListingUnknownFlags) {
   }
 }
 
-TEST(CliArgsTest, LockstepRecordsParsesAllForms) {
-  // The batched-replay tuning flags on `dse`/`aps`: value, `=` form, and
-  // absence (get_opt -> nullopt, caller keeps its default).
-  {
-    Argv argv({"c2b", "dse", "--lockstep-records", "512"});
-    Args args(argv.argc(), argv.argv(), 2);
-    EXPECT_EQ(args.get_opt("lockstep-records", 4096), 512);
-    args.finish();
-  }
-  {
-    Argv argv({"c2b", "aps", "--lockstep-records=1"});
-    Args args(argv.argc(), argv.argv(), 2);
-    EXPECT_EQ(args.get_opt("lockstep-records", 4096), 1);
-  }
-  {
-    Argv argv({"c2b", "dse"});
-    Args args(argv.argc(), argv.argv(), 2);
-    EXPECT_FALSE(args.get_opt("lockstep-records", 4096).has_value());
-  }
-}
-
-TEST(CliArgsTest, LockstepRecordsNumericErrorNamesTheFlag) {
-  Argv argv({"c2b", "dse", "--lockstep-records=soon"});
-  Args args(argv.argc(), argv.argv(), 2);
+TEST(CliArgsTest, GetOptNumericErrorNamesTheFlag) {
+  Argv argv({"c2b", "dse", "--progress=soon"});
+  Args args(argv.argc(), argv.argv(), 2, {"progress"});
   try {
-    args.get_opt("lockstep-records", 4096);
+    args.get_opt("progress", 500);
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("--lockstep-records"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("--progress"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("soon"), std::string::npos);
   }
 }
 
-TEST(CliArgsTest, NoSimdIsBooleanAndDoesNotEatTheNextFlag) {
-  // `--no-simd` is registered boolean at the CLI entry point, so a value
-  // flag that follows must still get its own value.
-  Argv argv({"c2b", "dse", "--no-simd", "--lockstep-records", "64"});
-  Args args(argv.argc(), argv.argv(), 2, {"no-simd"});
-  EXPECT_EQ(args.get("no-simd", std::string("false")), "true");
-  EXPECT_EQ(args.get_opt("lockstep-records", 4096), 64);
-  args.finish();
-}
-
 TEST(CliArgsTest, UnqueriedBatchFlagsAreUnknownToOtherCommands) {
-  // Commands that never query the batch flags reject them via finish(),
-  // naming both — the `c2b model --no-simd` typo fails loudly.
-  Argv argv({"c2b", "model", "--no-simd", "--lockstep-records=64"});
-  Args args(argv.argc(), argv.argv(), 2, {"no-simd"});
+  // Commands that never query the sweep flags reject them via finish(),
+  // naming both — the `c2b model --pareto` typo fails loudly.
+  Argv argv({"c2b", "model", "--pareto", "--surrogate-band=0.1"});
+  Args args(argv.argc(), argv.argv(), 2, {"pareto"});
   try {
     args.finish();
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
     EXPECT_NE(what.find("unknown flag"), std::string::npos);
-    EXPECT_NE(what.find("--no-simd"), std::string::npos);
-    EXPECT_NE(what.find("--lockstep-records"), std::string::npos);
+    EXPECT_NE(what.find("--pareto"), std::string::npos);
+    EXPECT_NE(what.find("--surrogate-band"), std::string::npos);
   }
 }
 

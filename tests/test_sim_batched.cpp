@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "argmin.h"
+#include "c2b/common/rng.h"
 #include "c2b/trace/chunk_store.h"
 #include "c2b/trace/generators.h"
 
@@ -119,8 +122,10 @@ TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
   // Width-8 member races far ahead in simulated work per record; the
   // lockstep driver must keep results right while members drain at very
   // different event rates, including after the fastest one finishes.
+  // Streams several times the lockstep round (one 4096-record chunk) force
+  // many rounds.
   const std::uint64_t kSeed = 90;
-  const std::uint64_t kRecords = 10'000;
+  const std::uint64_t kRecords = 40'000;
   std::vector<sim::SystemConfig> configs(2);
   configs[0].core.issue_width = 1;
   configs[0].core.rob_size = 16;
@@ -131,11 +136,10 @@ TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
       std::make_unique<ZipfStreamGenerator>(zipf_params(kSeed)), kRecords);
   store.set_readers(2);
   ChunkCursor a(store, id), b(store, id);
-  // Tiny lockstep quantum to force many driver rounds.
-  sim::BatchedReplayOptions options;
-  options.lockstep_records = 64;
+  sim::BatchKernelStats kernel;
   const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched(configs, {{&a}, {&b}}, options);
+      sim::simulate_system_batched(configs, {{&a}, {&b}}, &kernel);
+  EXPECT_GE(kernel.simd_lanes_active, 2 * (kRecords / 4096));
   for (std::size_t m = 0; m < 2; ++m)
     expect_results_bitwise_equal(batched[m], reference_run(configs[m], kSeed, kRecords));
 }
@@ -150,37 +154,54 @@ TEST(SimulateBatched, RejectsMalformedInputs) {
   EXPECT_THROW(sim::simulate_system_batched({}, {}), std::invalid_argument);
   EXPECT_THROW(sim::simulate_system_batched({config}, {{&cursor}, {&cursor}}),
                std::invalid_argument);
-  sim::BatchedReplayOptions zero;
-  zero.lockstep_records = 0;
-  EXPECT_THROW(sim::simulate_system_batched({config}, {{&cursor}}, zero),
-               std::invalid_argument);
 }
 
-TEST(SystemReplay, SlicedAdvanceMatchesOneShot) {
-  sim::SystemConfig config;
-  config.core.issue_width = 8;
-  const auto p = zipf_params(101);
-  GeneratorTraceCursor one_shot(std::make_unique<ZipfStreamGenerator>(p), 9'000);
-  std::vector<TraceCursor*> one_shot_cursors{&one_shot};
-  const sim::SystemResult reference =
-      sim::simulate_system_streaming(config, one_shot_cursors);
+/// The kernel's next-event cycle of a core that has finished.
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
-  GeneratorTraceCursor sliced(std::make_unique<ZipfStreamGenerator>(p), 9'000);
-  sim::SystemReplay replay(config, {&sliced});
-  // Ragged slice sizes, including zero-progress targets below the current
-  // consumption; every slicing must be invisible to the result.
-  std::uint64_t target = 0;
-  const std::uint64_t steps[] = {1, 7, 100, 3, 4096, 50, 9'000};
-  std::size_t i = 0;
-  while (!replay.finished()) {
-    target += steps[i % (sizeof(steps) / sizeof(steps[0]))];
-    ++i;
-    replay.advance_until(target);
-    ASSERT_LE(replay.consumed_records(), 9'000u);
+/// The obvious argmin: first index of the smallest value.
+std::size_t naive_argmin(const std::vector<std::uint64_t>& values) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < values.size(); ++i)
+    if (values[i] < values[best]) best = i;
+  return best;
+}
+
+TEST(KernelArgmin, MatchesNaiveScanAtEveryWidth) {
+  // Counts 1..64 cover the inline scan (<= kInlineArgminLanes) and the
+  // dispatched wide path (portable blocked reduction or AVX2) on both
+  // sides of the threshold and of the 8-lane block boundary.
+  Rng rng(4242);
+  const std::uint64_t kHigh = std::uint64_t{1} << 63;
+  for (std::size_t count = 1; count <= 64; ++count) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::uint64_t> values(count);
+      for (std::uint64_t& v : values) {
+        switch (rng.uniform_below(4)) {
+          case 0: v = rng.uniform_below(4); break;          // dense ties
+          case 1: v = kNever; break;                        // finished cores
+          case 2: v = kHigh + rng.uniform_below(4); break;  // AVX2 sign-bias range
+          default: v = rng.next(); break;
+        }
+      }
+      ASSERT_EQ(sim::detail::argmin_u64(values.data(), count), naive_argmin(values))
+          << "count " << count << " trial " << trial;
+    }
   }
-  sim::SystemReplay done = std::move(replay);  // move keeps the run usable
-  EXPECT_TRUE(done.finished());
-  expect_results_bitwise_equal(done.result(), reference);
+}
+
+TEST(KernelArgmin, TiesReturnTheLowestIndex) {
+  for (std::size_t count = 1; count <= 64; ++count) {
+    for (std::size_t first = 0; first < count; ++first) {
+      // Every lane from `first` on holds the minimum; lanes before it are
+      // larger — and values straddle 2^63 so a signed compare would lie.
+      std::vector<std::uint64_t> values(count, std::uint64_t{1} << 63);
+      for (std::size_t i = 0; i < first; ++i) values[i] = kNever - i;
+      ASSERT_EQ(sim::detail::argmin_u64(values.data(), count), first) << "count " << count;
+    }
+    const std::vector<std::uint64_t> all_done(count, kNever);
+    EXPECT_EQ(sim::detail::argmin_u64(all_done.data(), count), 0u) << "count " << count;
+  }
 }
 
 }  // namespace

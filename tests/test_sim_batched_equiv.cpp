@@ -1,6 +1,6 @@
 // Batch-equivalence stress tests (ctest label: perf, excluded from the
 // quick suite). The batched replay engine — shared chunk store, lockstep
-// SystemReplay driver, DSE-level equivalence-class scheduling — must be
+// replay kernel, DSE-level equivalence-class scheduling — must be
 // bitwise indistinguishable from per-point simulation at every thread
 // count, with the chunk store's resident window staying O(chunk) even on
 // wide batches over long streams.
@@ -35,14 +35,15 @@ struct ExecDefaults {
   }
 };
 
-// The oracle harness's batch family at a different seed and a larger set
-// count than the `c2b check` default, so the perf suite explores fresh
-// design-point sets.
+// The oracle harness's kernel family — whose DSE part checks batched and
+// per-point design times against simulate_design_time_reference — at a
+// different seed and a larger set count than the `c2b check` default, so
+// the perf suite explores fresh design-point sets.
 TEST(BatchEquivalence, OracleStressOnRandomDesignSets) {
   check::OracleOptions options;
-  options.seed = 20'260'805;
-  options.batch_sets = 12;
-  const check::OracleReport report = check::run_batch_equivalence_oracle(options);
+  options.seed = 20'260'806;
+  options.kernel_configs = 48;
+  const check::OracleReport report = check::run_kernel_equivalence_oracle(options);
   for (const std::string& failure : report.failures) ADD_FAILURE() << failure;
   EXPECT_TRUE(report.passed());
   EXPECT_GT(report.checks, 0u);

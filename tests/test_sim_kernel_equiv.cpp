@@ -48,11 +48,11 @@ void expect_core_results_identical(const sim::CoreResult& a, const sim::CoreResu
                     "miss_concurrency");
 }
 
-// The full random-configuration sweep (coherence + prefetch + random
-// replacement included, field-by-field bitwise diff) is the oracle
-// harness's kernel family; run it here at a different seed and a larger
-// case count than the `c2b check` default so the perf suite explores
-// fresh configurations.
+// The full random sweep (coherence + prefetch + random replacement
+// included, field-by-field bitwise diff; batch widths 1..16; DSE design
+// sets at every thread count, cold and warm) is the oracle harness's
+// kernel family; run it here at a different seed and a larger case count
+// than the `c2b check` default so the perf suite explores fresh cases.
 TEST(KernelEquivalence, OracleStressOnRandomConfigs) {
   check::OracleOptions options;
   options.seed = 20'260'805;

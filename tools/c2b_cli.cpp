@@ -19,7 +19,6 @@
 //   c2b aps [--workload <name>] [--instructions N] [--per-core-cap N]
 //           [--characterize-instructions N] [--radius R] [--area A]
 //           [--shared-area A] [--seed S] [--repeat N]
-//           [--lockstep-records N] [--no-simd]
 //       Run the APS design-space exploration (characterize, analytic
 //       solve, neighborhood simulation) on a small grid and print the
 //       chosen design plus the run's simulation/memory-access totals.
@@ -27,8 +26,7 @@
 //       memoized simulation cache and must match the first run bit for bit
 //       (watch exec.simcache.hit in --metrics-out).
 //   c2b dse [--workload <name>] [--instructions N] [--per-core-cap N]
-//           [--area A] [--shared-area A] [--seed S]
-//           [--lockstep-records N] [--no-simd] [--pareto]
+//           [--area A] [--shared-area A] [--seed S] [--pareto]
 //           [--power-budget P] [--bw-budget B] [--noc-budget L]
 //           [--surrogate | --no-surrogate] [--surrogate-band B]
 //           [--surrogate-warmup N] [--large-axes]
@@ -43,9 +41,6 @@
 //       (and the --pareto frontier) simulator ground truth either way.
 //       --large-axes swaps in the Fig.-12-scale preset grid (~10^5 points)
 //       instead of the default smoke-sized grid.
-//       --lockstep-records sets the batched-replay lockstep granularity;
-//       --no-simd forces the scalar lockstep driver (results are identical
-//       either way — both are tuning/escape knobs, shared with `c2b aps`).
 //       --power-budget / --bw-budget / --noc-budget (all > 0; also accepted
 //       by `c2b aps`) add power, off-chip-bandwidth, and NoC-bisection
 //       ceilings to the Eq. (12) area constraint; infeasible points are
@@ -58,11 +53,11 @@
 //       time breakdown, cache/batch effectiveness, top-K slowest trace
 //       classes, per-class sim-time percentiles, and (with --heatmap-out)
 //       an objective-vs-(N, cache split) CSV heatmap.
-//   c2b check [--family all|analytic|determinism|invariants|kernel|batch|simd|constraint|surrogate|cache]
+//   c2b check [--family all|analytic|determinism|invariants|kernel|constraint|surrogate|cache]
 //             [--seed S] [--configs N] [--aps-configs N] [--cases N]
-//             [--designs N] [--kernel-configs N] [--batch-sets N]
-//             [--simd-sets N] [--constraint-sets N] [--surrogate-sets N]
-//             [--cache-sets N] [--bands-out <file>] [--corpus <dir>]
+//             [--designs N] [--kernel-configs N] [--constraint-sets N]
+//             [--surrogate-sets N] [--cache-sets N] [--bands-out <file>]
+//             [--corpus <dir>]
 //       Run the differential oracle families (analytic model vs simulator
 //       tolerance bands, serial-vs-parallel determinism on random configs,
 //       invariant registry). Deterministic for a fixed --seed; failures
@@ -474,21 +469,6 @@ void journal_batch_stats(const BatchReplayStats& batch) {
                     .count("disk_drops", cache.disk_drops));
 }
 
-/// Shared `--lockstep-records` / `--no-simd` handling for the sweep
-/// commands. Returns false (after printing an error) on a bad value.
-bool apply_batch_flags(const Args& args, const char* command, DseContext& context) {
-  if (const auto lockstep = args.get_opt("lockstep-records",
-                                         static_cast<long long>(context.lockstep_records))) {
-    if (*lockstep < 1) {
-      std::fprintf(stderr, "%s: --lockstep-records must be >= 1\n", command);
-      return false;
-    }
-    context.lockstep_records = static_cast<std::uint64_t>(*lockstep);
-  }
-  context.use_simd = args.get("no-simd", std::string("false")) != "true";
-  return true;
-}
-
 /// Shared `--power-budget` / `--bw-budget` / `--noc-budget` handling for
 /// the sweep commands. Unset flags leave the budget infinite (constraint
 /// not assembled); set values must be finite and > 0 — zero, negative, and
@@ -583,7 +563,6 @@ int cmd_aps(const Args& args) {
   context.chip.total_area = args.get("area", 9.0);
   context.chip.shared_area = args.get("shared-area", 1.0);
   context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_batch_flags(args, "aps", context)) return 2;
   if (!apply_constraint_flags(args, "aps", context)) return 2;
 
   // A small buildable grid (the paper-scale space is bench territory; the
@@ -662,7 +641,6 @@ int cmd_dse(const Args& args) {
   context.chip.total_area = args.get("area", 9.0);
   context.chip.shared_area = args.get("shared-area", 1.0);
   context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_batch_flags(args, "dse", context)) return 2;
   if (!apply_constraint_flags(args, "dse", context)) return 2;
   if (!apply_surrogate_flags(args, "dse", context)) return 2;
   const bool pareto = args.has("pareto");
@@ -808,8 +786,6 @@ int cmd_check(const Args& args) {
   options.invariant_cases = static_cast<std::size_t>(args.get("cases", 60LL));
   options.designs_per_workload = static_cast<std::size_t>(args.get("designs", 5LL));
   options.kernel_configs = static_cast<std::size_t>(args.get("kernel-configs", 40LL));
-  options.batch_sets = static_cast<std::size_t>(args.get("batch-sets", 50LL));
-  options.simd_sets = static_cast<std::size_t>(args.get("simd-sets", 3LL));
   options.constraint_sets = static_cast<std::size_t>(args.get("constraint-sets", 6LL));
   options.surrogate_sets = static_cast<std::size_t>(args.get("surrogate-sets", 3LL));
   options.cache_sets = static_cast<std::size_t>(args.get("cache-sets", 3LL));
@@ -829,10 +805,6 @@ int cmd_check(const Args& args) {
     reports.push_back(check::run_invariant_oracle(options));
   } else if (family == "kernel") {
     reports.push_back(check::run_kernel_equivalence_oracle(options));
-  } else if (family == "batch") {
-    reports.push_back(check::run_batch_equivalence_oracle(options));
-  } else if (family == "simd") {
-    reports.push_back(check::run_simd_equivalence_oracle(options));
   } else if (family == "constraint") {
     reports.push_back(check::run_constraint_oracle(options));
   } else if (family == "surrogate") {
@@ -841,7 +813,7 @@ int cmd_check(const Args& args) {
     reports.push_back(check::run_persistent_cache_oracle(options));
   } else {
     std::fprintf(stderr,
-                 "check: unknown --family '%s' (want all|analytic|determinism|invariants|kernel|batch|simd|constraint|surrogate|cache)\n",
+                 "check: unknown --family '%s' (want all|analytic|determinism|invariants|kernel|constraint|surrogate|cache)\n",
                  family.c_str());
     return 2;
   }
@@ -1011,10 +983,9 @@ struct RecorderSession {
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const std::set<std::string> boolean_flags{"simpoints",  "asymmetric",   "coherence",
-                                            "progress",   "no-simd",      "pareto",
-                                            "surrogate",  "no-surrogate", "large-axes",
-                                            "wait",       "post"};
+  const std::set<std::string> boolean_flags{
+      "simpoints", "asymmetric",   "coherence",  "progress", "pareto",
+      "surrogate", "no-surrogate", "large-axes", "wait",     "post"};
   const Args args(argc, argv, 2, boolean_flags);
 
   // Cross-command flags; read before dispatch so the per-command finish()
