@@ -1,13 +1,9 @@
 #pragma once
 
 // A tiny FNV-style arithmetic kernel used to price the telemetry macros.
-// Three variants of the identical loop:
+// Two variants of the identical loop:
 //   * plain         — no instrumentation at all (the baseline);
-//   * instrumented  — one C2B_COUNTER_INC per iteration, compiled normally
-//                     (obs_overhead_kernel.cpp);
-//   * compiled_out  — the same instrumented source built with
-//                     C2B_OBS_DISABLED (obs_overhead_kernel_disabled.cpp),
-//                     so the macro must cost exactly nothing.
+//   * instrumented  — one C2B_COUNTER_INC per iteration.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,6 +12,5 @@ namespace c2b::bench {
 
 std::uint64_t obs_kernel_plain(std::size_t iterations);
 std::uint64_t obs_kernel_instrumented(std::size_t iterations);
-std::uint64_t obs_kernel_compiled_out(std::size_t iterations);
 
 }  // namespace c2b::bench

@@ -479,7 +479,7 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
   // sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses must equal
   // the demand accesses the run reports, with replays covering the cached
   // second run. Needs live telemetry; skipped silently under
-  // C2B_OBS_DISABLED builds or obs::set_enabled(false).
+  // obs::set_enabled(false).
   if (C2B_OBS_ACTIVE()) {
     ExecStateGuard guard;
     exec::SimCache& cache = exec::SimCache::global();

@@ -6,9 +6,6 @@
 // flight record; the thread pool captures the submitting thread's context
 // per batch and installs it around every chunk it runs, so sweep
 // instrumentation follows the job across worker threads.
-//
-// Under -DC2B_OBS_DISABLED the accessors are constant nullptrs and
-// everything here folds away.
 
 #include "c2b/obs/journal.h"
 #include "c2b/obs/progress.h"

@@ -22,10 +22,7 @@
 //
 // Recording is wired through active_journal(): sweep code checks the
 // pointer and emits only when a run installed a journal (the `c2b
-// --journal-out` flag). Under -DC2B_OBS_DISABLED the accessor is a
-// constant nullptr, so every emission site folds away at compile time,
-// exactly like the C2B_* metric macros. The reader/report half of the API
-// is plain library code and stays available in disabled builds.
+// --journal-out` flag).
 
 #include <cstdint>
 #include <map>
@@ -105,16 +102,8 @@ class RunJournal {
 /// journal installed before a sweep follows the sweep across workers.
 /// Compiled-out builds see a constant nullptr so emission sites vanish
 /// entirely.
-#if defined(C2B_OBS_DISABLED)
-// `static` (internal linkage) so these can never bind to the library's
-// real symbols — each disabled TU sees a constant nullptr the optimizer
-// folds, making every `if (auto* j = active_journal())` site vanish.
-static constexpr RunJournal* active_journal() noexcept { return nullptr; }
-static inline void set_active_journal(RunJournal*) noexcept {}
-#else
 RunJournal* active_journal() noexcept;
 void set_active_journal(RunJournal* journal) noexcept;
-#endif
 
 /// RAII phase marker: emits `phase_begin`/`phase_end` (with wall_ms) into
 /// the active journal and attributes wall clock to the active progress

@@ -7,9 +7,7 @@
 // the CLI can print a per-phase breakdown at end of run.
 //
 // Like the run journal, recording is wired through an active-meter pointer
-// that sweep code checks before touching the meter; under
-// -DC2B_OBS_DISABLED the accessor is a constant nullptr and every call
-// site folds away.
+// that sweep code checks before touching the meter.
 
 #include <cstdint>
 #include <cstdio>
@@ -81,14 +79,7 @@ class ProgressMeter {
   std::uint64_t segment_start_ns_;    ///< start of the innermost open segment
 };
 
-#if defined(C2B_OBS_DISABLED)
-// Internal linkage for the same reason as active_journal(): a disabled TU
-// must fold the accessor to nullptr, never bind the library symbol.
-static constexpr ProgressMeter* active_progress() noexcept { return nullptr; }
-static inline void set_active_progress(ProgressMeter*) noexcept {}
-#else
 ProgressMeter* active_progress() noexcept;
 void set_active_progress(ProgressMeter* meter) noexcept;
-#endif
 
 }  // namespace c2b::obs

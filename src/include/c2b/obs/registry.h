@@ -1,13 +1,19 @@
 #pragma once
 
 // Process-wide telemetry registry: named counters, gauges, and fixed-bucket
-// histograms. The hot path is lock-free (relaxed std::atomic updates on
+// histograms. Updates are lock-free (relaxed std::atomic updates on
 // cache-line-padded slots); registration takes a mutex once per call site
 // (the C2B_* macros cache the returned reference in a function-local
 // static). Export walks the registry under the same mutex and aggregates
 // histogram moments RunningStats-style (count/sum/sum-of-squares/min/max),
 // so a snapshot is cheap and never perturbs concurrent writers.
+//
+// Shared atomics still serialize writers that hit them often, so per-event
+// simulator telemetry does not touch the registry: each run counts into
+// plain members and a LocalHistogram, and publishes them once when it
+// finishes (Counter::add, ConcurrentHistogram::merge).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -20,8 +26,7 @@
 namespace c2b::obs {
 
 /// Global runtime switch. When false every C2B_* macro reduces to this one
-/// branch; when the build defines C2B_OBS_DISABLED the macros vanish
-/// entirely and this function is never consulted.
+/// branch.
 bool enabled() noexcept;
 void set_enabled(bool on) noexcept;
 
@@ -47,6 +52,51 @@ class Gauge {
   alignas(64) std::atomic<double> value_{0.0};
 };
 
+/// Bucket of sample `x` in a `bins`-bucket histogram starting at `lo` with
+/// bucket width `width`. Out-of-range samples clamp to the edge buckets,
+/// the same semantics as c2b::Histogram; NaN lands in bucket 0.
+inline std::size_t histogram_bin(double x, double lo, double width, std::size_t bins) noexcept {
+  const double offset = (x - lo) / width;
+  if (!(offset > 0.0)) return 0;
+  return offset >= static_cast<double>(bins) ? bins - 1 : static_cast<std::size_t>(offset);
+}
+
+/// Single-owner histogram with ConcurrentHistogram's (lo, hi, bins) shape
+/// and bucketing but plain fields, for hot loops: a simulator run records
+/// into its own copy and ConcurrentHistogram::merge folds it into the
+/// registry once, when the run finishes.
+class LocalHistogram {
+ public:
+  LocalHistogram(double lo, double hi, std::size_t bins);
+
+  void record(double x) noexcept {
+    ++counts_[histogram_bin(x, lo_, width_, counts_.size())];
+    ++count_;
+    sum_ += x;
+    sum_squares_ += x * x;
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+  double lo() const noexcept { return lo_; }
+  double hi() const noexcept { return hi_; }
+  std::size_t bins() const noexcept { return counts_.size(); }
+  std::uint64_t count() const noexcept { return count_; }
+
+ private:
+  friend class ConcurrentHistogram;
+
+  double lo_;
+  double hi_;
+  double width_;
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double sum_squares_ = 0.0;
+  double min_;
+  double max_;
+};
+
 /// Fixed-width histogram over [lo, hi) with atomically updated buckets and
 /// running moments; out-of-range samples clamp to the edge buckets (same
 /// semantics as c2b::Histogram). record() is wait-free on every field
@@ -56,6 +106,12 @@ class ConcurrentHistogram {
   ConcurrentHistogram(double lo, double hi, std::size_t bins);
 
   void record(double x, std::uint64_t weight = 1) noexcept;
+
+  /// Fold in a LocalHistogram of the same shape: one atomic add per
+  /// non-empty bucket plus the moments; the result equals recording the
+  /// same samples here, up to floating-point summation order in the sums.
+  /// An empty `local` changes nothing.
+  void merge(const LocalHistogram& local);
 
   std::size_t bins() const noexcept { return counts_.size(); }
   double bin_low(std::size_t bin) const noexcept;

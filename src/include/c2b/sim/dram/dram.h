@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "c2b/common/assert.h"
+#include "c2b/obs/registry.h"
 
 namespace c2b::sim {
 
@@ -54,6 +55,10 @@ class DramModel {
   const DramStats& stats() const noexcept { return stats_; }
   const DramConfig& config() const noexcept { return config_; }
 
+  /// Publish this model's queue-depth histogram (sim.dram.queue_depth) to
+  /// the telemetry registry; call once, when the run finishes.
+  void flush_telemetry() const;
+
   /// Unloaded latency of a row-buffer hit / empty / conflict access (used by
   /// the analytic model to seed AMP estimates).
   std::uint64_t row_hit_latency() const noexcept { return config_.t_cas + config_.t_bus; }
@@ -75,6 +80,7 @@ class DramModel {
   std::vector<BankState> banks_;
   std::uint64_t bus_free_ = 0;
   DramStats stats_;
+  obs::LocalHistogram queue_depth_{0.0, 64.0, 64};
 };
 
 }  // namespace c2b::sim

@@ -19,6 +19,7 @@
 
 #include <optional>
 
+#include "c2b/obs/registry.h"
 #include "c2b/sim/cache/cache.h"
 #include "c2b/sim/cache/coherence.h"
 #include "c2b/sim/cache/prefetch.h"
@@ -111,6 +112,13 @@ class MemoryHierarchy {
   HierarchyStats stats() const;
   const HierarchyConfig& config() const noexcept { return config_; }
 
+  /// Publish this hierarchy's per-run telemetry to the registry: the
+  /// sim.l1/sim.l2 hit, miss and eviction counters and the MSHR-occupancy,
+  /// NoC round-trip and DRAM queue-depth histograms. access() only counts
+  /// into plain members, so concurrent runs never contend on shared
+  /// registry slots; call this exactly once, when the run finishes.
+  void flush_telemetry() const;
+
  private:
   HierarchyConfig config_;
 
@@ -127,6 +135,16 @@ class MemoryHierarchy {
   std::uint64_t l2_misses_ = 0;
   std::uint64_t l1_writebacks_ = 0;
   std::uint64_t l2_writebacks_ = 0;
+
+  // Telemetry-only tallies, published by flush_telemetry(). Demand L1
+  // hits/misses differ from the CacheArray probe counts under
+  // perfect_memory, which skips the probe.
+  std::uint64_t l1_hits_ = 0;
+  std::uint64_t l1_misses_ = 0;
+  std::uint64_t l1_evictions_ = 0;
+  std::uint64_t l2_evictions_ = 0;
+  obs::LocalHistogram mshr_occupancy_{0.0, 64.0, 64};
+  obs::LocalHistogram noc_round_trip_{0.0, 256.0, 64};
 
   // Prefetch engines and the not-yet-referenced prefetched lines per core.
   std::vector<Prefetcher> prefetchers_;

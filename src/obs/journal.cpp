@@ -52,21 +52,17 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-#if !defined(C2B_OBS_DISABLED)
 // Thread-local: concurrent jobs (c2b serve) each install their own journal
 // on the thread driving the job; ThreadPool::parallel_for propagates the
 // submitting thread's obs context to whichever worker runs a chunk, so
 // emissions from inside a sweep land in that job's journal. Single-job CLI
 // runs behave exactly as before (install on main, sweeps propagate).
 thread_local RunJournal* g_active_journal = nullptr;
-#endif
 
 }  // namespace
 
-#if !defined(C2B_OBS_DISABLED)
 RunJournal* active_journal() noexcept { return g_active_journal; }
 void set_active_journal(RunJournal* journal) noexcept { g_active_journal = journal; }
-#endif
 
 // ---------------------------------------------------------------------------
 // JournalEvent

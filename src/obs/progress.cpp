@@ -27,18 +27,14 @@ std::string format_duration(double ms) {
   return buf;
 }
 
-#if !defined(C2B_OBS_DISABLED)
 // Thread-local for the same reason as g_active_journal: each concurrent
 // job installs its own meter, and the pool propagates it per batch.
 thread_local ProgressMeter* g_active_progress = nullptr;
-#endif
 
 }  // namespace
 
-#if !defined(C2B_OBS_DISABLED)
 ProgressMeter* active_progress() noexcept { return g_active_progress; }
 void set_active_progress(ProgressMeter* meter) noexcept { g_active_progress = meter; }
-#endif
 
 ProgressMeter::ProgressMeter(Options options)
     : options_(options),

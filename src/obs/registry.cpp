@@ -31,6 +31,17 @@ void atomic_max(std::atomic<double>& slot, double x) noexcept {
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
 
+LocalHistogram::LocalHistogram(double lo, double hi, std::size_t bins)
+    : lo_(lo),
+      hi_(hi),
+      width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
+      counts_(bins),
+      min_(std::numeric_limits<double>::infinity()),
+      max_(-std::numeric_limits<double>::infinity()) {
+  C2B_REQUIRE(hi > lo, "histogram needs hi > lo");
+  C2B_REQUIRE(bins >= 1, "histogram needs at least one bin");
+}
+
 ConcurrentHistogram::ConcurrentHistogram(double lo, double hi, std::size_t bins)
     : lo_(lo),
       width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
@@ -42,11 +53,7 @@ ConcurrentHistogram::ConcurrentHistogram(double lo, double hi, std::size_t bins)
 }
 
 void ConcurrentHistogram::record(double x, std::uint64_t weight) noexcept {
-  const double offset = (x - lo_) / width_;
-  std::size_t bin = 0;
-  if (offset > 0.0) {
-    bin = std::min(counts_.size() - 1, static_cast<std::size_t>(offset));
-  }
+  const std::size_t bin = histogram_bin(x, lo_, width_, counts_.size());
   counts_[bin].fetch_add(weight, std::memory_order_relaxed);
   count_.fetch_add(weight, std::memory_order_relaxed);
   const double w = static_cast<double>(weight);
@@ -54,6 +61,20 @@ void ConcurrentHistogram::record(double x, std::uint64_t weight) noexcept {
   sum_squares_.fetch_add(w * x * x, std::memory_order_relaxed);
   atomic_min(min_, x);
   atomic_max(max_, x);
+}
+
+void ConcurrentHistogram::merge(const LocalHistogram& local) {
+  C2B_REQUIRE(local.lo_ == lo_ && local.width_ == width_ && local.bins() == bins(),
+              "merged histogram must have the same (lo, hi, bins) shape");
+  if (local.count_ == 0) return;
+  for (std::size_t bin = 0; bin < counts_.size(); ++bin)
+    if (local.counts_[bin] != 0)
+      counts_[bin].fetch_add(local.counts_[bin], std::memory_order_relaxed);
+  count_.fetch_add(local.count_, std::memory_order_relaxed);
+  sum_.fetch_add(local.sum_, std::memory_order_relaxed);
+  sum_squares_.fetch_add(local.sum_squares_, std::memory_order_relaxed);
+  atomic_min(min_, local.min_);
+  atomic_max(max_, local.max_);
 }
 
 double ConcurrentHistogram::bin_low(std::size_t bin) const noexcept {

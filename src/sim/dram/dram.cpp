@@ -50,10 +50,13 @@ std::uint64_t DramModel::access(std::uint64_t line, std::uint64_t arrival_cycle)
   stats_.busy_cycle_estimate += config_.t_bus;
   // Queueing delay ahead of this request, expressed in burst slots: how many
   // bursts deep the bank + bus backlog effectively was on arrival.
-  C2B_HISTOGRAM_RECORD(
-      "sim.dram.queue_depth", 0.0, 64.0, 64,
-      static_cast<double>(burst_start - arrival_cycle) / static_cast<double>(config_.t_bus));
+  queue_depth_.record(static_cast<double>(burst_start - arrival_cycle) /
+                      static_cast<double>(config_.t_bus));
   return completion;
+}
+
+void DramModel::flush_telemetry() const {
+  C2B_HISTOGRAM_MERGE("sim.dram.queue_depth", queue_depth_);
 }
 
 }  // namespace c2b::sim

@@ -17,7 +17,7 @@
 #include <limits>
 #include <vector>
 
-#include "c2b/obs/obs.h"
+#include "c2b/obs/registry.h"
 #include "c2b/sim/system/system.h"
 
 namespace c2b::sim::detail {
@@ -132,6 +132,9 @@ struct MemberState {
   std::uint64_t fast_records = 0;  ///< records advanced by compute fast paths
   std::uint64_t peel_records = 0;  ///< records through the scalar issue path
 
+  /// ROB occupancy at each detector fold (sim.core.rob_occupancy).
+  obs::LocalHistogram rob_occupancy{0.0, 256.0, 64};
+
   MemberState(const SystemConfig& config, std::size_t cores)
       : hierarchy(config.hierarchy),
         width(config.core.issue_width),
@@ -140,8 +143,9 @@ struct MemberState {
         n(cores),
         lanes(cores, config.core.rob_size) {}
 
-  /// Flush the one-shot kernel counters (call exactly once, when the run
-  /// finishes).
+  /// Publish the run's telemetry — kernel counters, the ROB histogram and
+  /// the hierarchy's counters and histograms — to the registry (call
+  /// exactly once, when the run finishes).
   void flush_kernel_counters();
 
   /// Final per-member SystemResult; folds the detectors (one-shot).
@@ -196,7 +200,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
         lanes.last_detector_fold[c] = cycle;
         lanes.detectors[c].advance(cycle);
-        C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64, 0.0);
+        s.rob_occupancy.record(0.0);
       }
       // Resume later instead of continuing in place: cores with earlier
       // pending events must reach the hierarchy first.
@@ -256,8 +260,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
         lanes.last_detector_fold[c] = cycle;
         lanes.detectors[c].advance(cycle);
-        C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64,
-                             static_cast<double>(lanes.rob_count[c]));
+        s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
       }
       return cycle + batches;
     }
@@ -305,8 +308,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
   if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
     lanes.last_detector_fold[c] = cycle;
     lanes.detectors[c].advance(cycle);
-    C2B_HISTOGRAM_RECORD("sim.core.rob_occupancy", 0.0, 256.0, 64,
-                         static_cast<double>(lanes.rob_count[c]));
+    s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
   }
 
   // ---- Next wake: the earliest cycle this core can act again ----

@@ -59,6 +59,8 @@ namespace detail {
 void MemberState::flush_kernel_counters() {
   C2B_COUNTER_ADD("sim.kernel.visited_cycles", visited_cycles);
   C2B_COUNTER_ADD("sim.kernel.skipped_cycles", skipped_cycles);
+  C2B_HISTOGRAM_MERGE("sim.core.rob_occupancy", rob_occupancy);
+  hierarchy.flush_telemetry();
 }
 
 SystemResult MemberState::build_result() {

@@ -68,7 +68,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   auto fill_l2 = [&](std::uint64_t fill_address, bool dirty, std::uint64_t at_cycle) {
     const auto victim = l2_.fill(fill_address, dirty);
     if (victim.has_value()) {
-      C2B_COUNTER_INC("sim.l2.evictions");
+      ++l2_evictions_;
       if (victim->dirty) {
         dram_.access(victim->address / config_.l2_geometry.line_bytes, at_cycle);
         ++l2_writebacks_;
@@ -89,7 +89,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   };
 
   if (config_.perfect_memory || l1_[core].probe(address, is_write)) {
-    C2B_COUNTER_INC("sim.l1.hit");
+    ++l1_hits_;
     outcome.completion_cycle = lookup_done;
     outcome.level = ServiceLevel::kL1;
     if (!prefetched_pending_[core].empty() && prefetched_pending_[core].erase(line) > 0)
@@ -116,10 +116,9 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   }
 
   // ---- L1 miss: allocate/merge an MSHR ----
-  C2B_COUNTER_INC("sim.l1.miss");
+  ++l1_misses_;
   const MshrFile::Grant grant = l1_mshr_[core].request(line, lookup_done);
-  C2B_HISTOGRAM_RECORD("sim.l1.mshr_occupancy", 0.0, 64.0, 64,
-                       static_cast<double>(l1_mshr_[core].in_flight()));
+  mshr_occupancy_.record(static_cast<double>(l1_mshr_[core].in_flight()));
   if (grant.merged && grant.merged_completion > lookup_done) {
     outcome.completion_cycle = grant.merged_completion;
     outcome.level = ServiceLevel::kL2;  // rides the primary miss
@@ -141,8 +140,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   const std::uint64_t to_slice = noc_.latency(core_node, slice);
   const std::uint64_t from_slice = to_slice;  // symmetric route
   noc_.round_trip(core_node, slice);          // traffic bookkeeping
-  C2B_HISTOGRAM_RECORD("sim.noc.round_trip_cycles", 0.0, 256.0, 64,
-                       static_cast<double>(2 * to_slice));
+  noc_round_trip_.record(static_cast<double>(2 * to_slice));
 
   const std::uint64_t l2_arrival = service_start + to_slice;
   const std::uint64_t l2_start = l2_sched_.schedule(line, l2_arrival);
@@ -173,13 +171,11 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
 
   std::uint64_t data_at_slice;
   if (l2_.probe(address)) {
-    C2B_COUNTER_INC("sim.l2.hit");
     data_at_slice = l2_done + coherence_delay;
     outcome.level = ServiceLevel::kL2;
     apc_l2_.add_interval(l2_start, data_at_slice);
   } else {
     ++l2_misses_;
-    C2B_COUNTER_INC("sim.l2.miss");
     outcome.level = ServiceLevel::kMemory;
     const MshrFile::Grant l2_grant = l2_mshr_.request(line, l2_done);
     if (l2_grant.merged && l2_grant.merged_completion > l2_done) {
@@ -198,7 +194,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   outcome.completion_cycle = data_at_slice + from_slice;
   const auto evicted = l1_[core].fill(address, is_write);
   if (evicted.has_value()) {
-    C2B_COUNTER_INC("sim.l1.evictions");
+    ++l1_evictions_;
     if (directory_)
       directory_->on_evict(core, evicted->address / config_.l1_geometry.line_bytes);
     if (evicted->dirty) {
@@ -258,6 +254,21 @@ void MemoryHierarchy::issue_prefetch(std::uint32_t core, std::uint64_t line,
   if (directory_) directory_->on_read(core, line);
   prefetched_pending_[core].insert(line);
   ++prefetches_issued_;
+}
+
+void MemoryHierarchy::flush_telemetry() const {
+  if (!C2B_OBS_ACTIVE()) return;
+  // Zero tallies are skipped so the registry only names counters some run
+  // advanced.
+  if (l1_hits_ != 0) C2B_COUNTER_ADD("sim.l1.hit", l1_hits_);
+  if (l1_misses_ != 0) C2B_COUNTER_ADD("sim.l1.miss", l1_misses_);
+  if (l1_evictions_ != 0) C2B_COUNTER_ADD("sim.l1.evictions", l1_evictions_);
+  if (l2_accesses_ != l2_misses_) C2B_COUNTER_ADD("sim.l2.hit", l2_accesses_ - l2_misses_);
+  if (l2_misses_ != 0) C2B_COUNTER_ADD("sim.l2.miss", l2_misses_);
+  if (l2_evictions_ != 0) C2B_COUNTER_ADD("sim.l2.evictions", l2_evictions_);
+  C2B_HISTOGRAM_MERGE("sim.l1.mshr_occupancy", mshr_occupancy_);
+  C2B_HISTOGRAM_MERGE("sim.noc.round_trip_cycles", noc_round_trip_);
+  dram_.flush_telemetry();
 }
 
 HierarchyStats MemoryHierarchy::stats() const {

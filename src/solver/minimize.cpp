@@ -9,7 +9,6 @@
 
 namespace c2b {
 
-#if !defined(C2B_OBS_DISABLED)
 namespace {
 
 /// log10 of |det| of the simplex's edge matrix — a volume proxy tracking
@@ -28,7 +27,6 @@ double log10_simplex_volume(const std::vector<Vector>& simplex) {
 }
 
 }  // namespace
-#endif  // !C2B_OBS_DISABLED
 
 ScalarMinResult golden_section_minimize(const ScalarFn& f, double lo, double hi, double tolerance,
                                         int max_iterations) {

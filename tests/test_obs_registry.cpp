@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -163,6 +165,104 @@ TEST(ObsHistogram, ResetClears) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 0.0);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
+}
+
+/// Every observable of two histograms, bucket by bucket.
+void expect_same_histogram(const ConcurrentHistogram& a, const ConcurrentHistogram& b) {
+  ASSERT_EQ(a.bins(), b.bins());
+  for (std::size_t bin = 0; bin < a.bins(); ++bin)
+    EXPECT_EQ(a.bin_count(bin), b.bin_count(bin)) << "bin " << bin;
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+TEST(ObsLocalHistogram, MergeMatchesDirectRecording) {
+  // Integer-valued samples (like the simulator's occupancies and cycle
+  // counts) sum exactly in any order, so the moments match bit for bit.
+  ConcurrentHistogram direct(0.0, 64.0, 64);
+  ConcurrentHistogram merged(0.0, 64.0, 64);
+  LocalHistogram first(0.0, 64.0, 64);
+  LocalHistogram second(0.0, 64.0, 64);
+  for (int i = 0; i < 5000; ++i) {
+    const double x = static_cast<double>((i * 37) % 97) - 10.0;  // -10 .. 86
+    direct.record(x);
+    (i % 3 == 0 ? first : second).record(x);
+  }
+  merged.record(5.0);  // merging adds to what is already there
+  direct.record(5.0);
+  merged.merge(first);
+  merged.merge(second);
+
+  expect_same_histogram(merged, direct);
+  EXPECT_EQ(first.count() + second.count() + 1, merged.count());
+  EXPECT_EQ(merged.sum(), direct.sum());
+  EXPECT_EQ(merged.stddev(), direct.stddev());
+  EXPECT_EQ(merged.percentile(0.9), direct.percentile(0.9));
+}
+
+TEST(ObsLocalHistogram, EmptyMergeLeavesMinAndMaxUntouched) {
+  ConcurrentHistogram h(0.0, 10.0, 10);
+  h.record(2.0);
+  h.record(5.0);
+  h.merge(LocalHistogram(0.0, 10.0, 10));
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.min(), 2.0);
+  EXPECT_DOUBLE_EQ(h.max(), 5.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 7.0);
+
+  ConcurrentHistogram empty(0.0, 10.0, 10);
+  empty.merge(LocalHistogram(0.0, 10.0, 10));
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_DOUBLE_EQ(empty.min(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.max(), 0.0);
+}
+
+TEST(ObsLocalHistogram, OutOfRangeSamplesClampLikeRecord) {
+  const double samples[] = {-5.0, -1e300, 0.0,    7.999999, 8.0,
+                            100.0, 1e300, -0.0,   3.5,      std::nan("")};
+  ConcurrentHistogram direct(0.0, 8.0, 8);
+  ConcurrentHistogram merged(0.0, 8.0, 8);
+  LocalHistogram local(0.0, 8.0, 8);
+  for (const double x : samples) {
+    direct.record(x);
+    local.record(x);
+  }
+  merged.merge(local);
+  expect_same_histogram(merged, direct);
+  EXPECT_EQ(direct.bin_count(0), 5u);  // -5, -1e300, 0, -0, NaN
+  EXPECT_EQ(direct.bin_count(7), 4u);  // 7.999999, 8 (== hi), 100, 1e300
+}
+
+TEST(ObsLocalHistogram, MergeRejectsAMismatchedShape) {
+  ConcurrentHistogram h(0.0, 8.0, 8);
+  EXPECT_THROW(h.merge(LocalHistogram(0.0, 8.0, 4)), std::invalid_argument);
+  EXPECT_THROW(h.merge(LocalHistogram(0.0, 16.0, 8)), std::invalid_argument);
+}
+
+TEST(ObsLocalHistogram, ConcurrentMergesKeepExactCounts) {
+  ConcurrentHistogram h(0.0, 4.0, 4);
+  constexpr int kThreads = 8;
+  constexpr int kMergesPerThread = 200;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < kMergesPerThread; ++i) {
+        LocalHistogram local(0.0, 4.0, 4);
+        local.record(static_cast<double>(t % 4));
+        local.record(static_cast<double>(i % 4));
+        h.merge(local);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h.count(), 2u * kThreads * kMergesPerThread);
+  std::uint64_t bucket_total = 0;
+  for (std::size_t b = 0; b < h.bins(); ++b) bucket_total += h.bin_count(b);
+  EXPECT_EQ(bucket_total, h.count());
+  EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 3.0);
 }
 
 TEST(ObsRegistry, FirstRegistrationFixesHistogramShape) {

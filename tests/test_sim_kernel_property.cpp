@@ -4,9 +4,12 @@
 // on random scenarios — random member configs, batch widths 1..16,
 // workloads — over shared chunk-store streams, and must keep the telemetry
 // ledger balanced: sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses
-// == the demand accesses the results report. Complements the `kernel`
-// oracle family; this suite drives the PBT engine so failures shrink and
-// replay from a one-line repro.
+// == the demand accesses the results report, and each per-access histogram
+// holds exactly one sample per event it describes. Each scenario replays
+// concurrently on pools of 1, 2 and 8 threads, so a member whose telemetry
+// is flushed twice or never, or a flush lost to a race, breaks the ledger.
+// Complements the `kernel` oracle family; this suite drives the PBT engine
+// so failures shrink and replay from a one-line repro.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "c2b/check/generators.h"
 #include "c2b/check/property.h"
 #include "c2b/common/rng.h"
+#include "c2b/exec/pool.h"
 #include "c2b/obs/obs.h"
 #include "c2b/obs/registry.h"
 #include "c2b/sim/system/batched.h"
@@ -108,13 +112,24 @@ std::vector<KernelScenario> shrink_kernel_scenario(const KernelScenario& s) {
   return out;
 }
 
-struct BatchRun {
-  std::vector<sim::SystemResult> results;
-  sim::BatchKernelStats kernel;
+/// The registry values the ledger balances.
+struct Telemetry {
   std::uint64_t l1_hits = 0;
   std::uint64_t l1_misses = 0;
+  std::uint64_t l2_hits = 0;
+  std::uint64_t l2_misses = 0;
   std::uint64_t replayed = 0;
-  bool ledger_live = false;  ///< telemetry was active, ledger fields valid
+  std::uint64_t mshr_samples = 0;  ///< sim.l1.mshr_occupancy count
+  std::uint64_t noc_samples = 0;   ///< sim.noc.round_trip_cycles count
+  std::uint64_t dram_samples = 0;  ///< sim.dram.queue_depth count
+};
+
+/// One replay of the scenario per pool thread, run concurrently.
+struct BatchRun {
+  std::size_t threads = 1;
+  std::vector<std::vector<sim::SystemResult>> replicas;  ///< one result set per replay
+  std::vector<sim::BatchKernelStats> kernel;             ///< one per replay
+  std::optional<Telemetry> telemetry;  ///< registry after the replays; nullopt when obs is off
 };
 
 /// The scenario's per-core stream generator.
@@ -125,8 +140,7 @@ std::unique_ptr<TraceGenerator> make_stream(const KernelScenario& s, std::uint32
 /// One full batched replay over a fresh shared chunk store: per-core
 /// streams generated from the scenario's workload, width x cores
 /// ChunkCursors.
-BatchRun run_batch(const KernelScenario& s) {
-  BatchRun run;
+std::vector<sim::SystemResult> replay(const KernelScenario& s, sim::BatchKernelStats* kernel) {
   TraceChunkStore store;
   std::vector<std::size_t> stream_ids;
   stream_ids.reserve(s.cores);
@@ -144,23 +158,38 @@ BatchRun run_batch(const KernelScenario& s) {
     }
   }
 
-  run.ledger_live = C2B_OBS_ACTIVE();
-  if (run.ledger_live) obs::Registry::global().reset_values();
-  run.results = sim::simulate_system_batched(s.configs, member_cursors, &run.kernel);
-  if (run.ledger_live) {
-    obs::Registry& registry = obs::Registry::global();
-    run.l1_hits = registry.counter("sim.l1.hit").value();
-    run.l1_misses = registry.counter("sim.l1.miss").value();
-    run.replayed = registry.counter("exec.simcache.replayed_accesses").value();
-  }
-  return run;
+  return sim::simulate_system_batched(s.configs, member_cursors, kernel);
 }
 
-std::uint64_t reported_accesses(const std::vector<sim::SystemResult>& results) {
-  std::uint64_t total = 0;
-  for (const sim::SystemResult& result : results)
-    for (const sim::CoreResult& core : result.cores) total += core.memory_accesses;
-  return total;
+/// `threads` concurrent replays on a pool of `threads` executors, each over
+/// its own chunk store. The registry is reset first, so afterwards it holds
+/// exactly these replays' flushes.
+BatchRun run_batch(const KernelScenario& s, std::size_t threads) {
+  BatchRun run;
+  run.threads = threads;
+  run.replicas.resize(threads);
+  run.kernel.resize(threads);
+  exec::set_thread_count(threads);
+  const bool live = C2B_OBS_ACTIVE();
+  obs::Registry& registry = obs::Registry::global();
+  if (live) registry.reset_values();
+  exec::ThreadPool::global().parallel_for(0, threads, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) run.replicas[r] = replay(s, &run.kernel[r]);
+  });
+  exec::set_thread_count(0);
+  if (live) {
+    Telemetry t;
+    t.l1_hits = registry.counter("sim.l1.hit").value();
+    t.l1_misses = registry.counter("sim.l1.miss").value();
+    t.l2_hits = registry.counter("sim.l2.hit").value();
+    t.l2_misses = registry.counter("sim.l2.miss").value();
+    t.replayed = registry.counter("exec.simcache.replayed_accesses").value();
+    t.mshr_samples = registry.histogram("sim.l1.mshr_occupancy", 0.0, 64.0, 64).count();
+    t.noc_samples = registry.histogram("sim.noc.round_trip_cycles", 0.0, 256.0, 64).count();
+    t.dram_samples = registry.histogram("sim.dram.queue_depth", 0.0, 64.0, 64).count();
+    run.telemetry = t;
+  }
+  return run;
 }
 
 /// First field-level difference between two member results (bit patterns
@@ -211,14 +240,35 @@ std::optional<std::string> diff_member(const sim::SystemResult& a, const sim::Sy
   return diff;
 }
 
+/// Every registry total must rebuild from what the replays' results report,
+/// which holds only if each member flushed exactly once.
 std::optional<std::string> check_ledger(const BatchRun& run) {
-  if (!run.ledger_live) return std::nullopt;
-  const std::uint64_t reported = reported_accesses(run.results);
-  if (run.l1_hits + run.l1_misses + run.replayed == reported) return std::nullopt;
-  std::ostringstream os;
-  os << "ledger: sim.l1.hit " << run.l1_hits << " + sim.l1.miss " << run.l1_misses
-     << " + replayed " << run.replayed << " != reported accesses " << reported;
-  return os.str();
+  if (!run.telemetry) return std::nullopt;
+  std::uint64_t accesses = 0, l2_accesses = 0, dram_accesses = 0;
+  for (const std::vector<sim::SystemResult>& results : run.replicas) {
+    for (const sim::SystemResult& result : results) {
+      for (const sim::CoreResult& core : result.cores) accesses += core.memory_accesses;
+      l2_accesses += result.hierarchy.l2_accesses;
+      dram_accesses += result.hierarchy.dram_accesses;
+    }
+  }
+  const Telemetry& t = *run.telemetry;
+  const std::uint64_t l2_counted = t.l2_hits + t.l2_misses;
+  std::optional<std::string> failure;
+  auto expect = [&](const char* what, std::uint64_t got, std::uint64_t want) {
+    if (failure || got == want) return;
+    std::ostringstream os;
+    os << "ledger at " << run.threads << " threads: " << what << ": " << got << " != " << want;
+    failure = os.str();
+  };
+  expect("sim.l1.hit + sim.l1.miss + replayed vs reported accesses",
+         t.l1_hits + t.l1_misses + t.replayed, accesses);
+  expect("sim.l1.mshr_occupancy count vs sim.l1.miss", t.mshr_samples, t.l1_misses);
+  expect("sim.noc.round_trip_cycles count vs sim.l2.hit + sim.l2.miss", t.noc_samples,
+         l2_counted);
+  expect("sim.l2.hit + sim.l2.miss vs reported l2_accesses", l2_counted, l2_accesses);
+  expect("sim.dram.queue_depth count vs reported dram_accesses", t.dram_samples, dram_accesses);
+  return failure;
 }
 
 TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
@@ -228,19 +278,29 @@ TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
   property.print = print_kernel_scenario;
   property.shrink = shrink_kernel_scenario;
   property.holds = [](const KernelScenario& s) -> std::optional<std::string> {
-    const BatchRun run = run_batch(s);
-    if (run.results.size() != s.width) return std::string("result count mismatch");
-    // Ledger first: the reference kernel below bumps the same counters.
-    if (auto failure = check_ledger(run)) return failure;
-    if (run.kernel.simd_steps == 0) return std::string("kernel reported zero steps");
+    std::vector<BatchRun> runs;
+    for (const std::size_t threads : {1, 2, 8}) {
+      const BatchRun& run = runs.emplace_back(run_batch(s, threads));
+      for (std::size_t r = 0; r < threads; ++r) {
+        if (run.replicas[r].size() != s.width) return std::string("result count mismatch");
+        if (run.kernel[r].simd_steps == 0) return std::string("kernel reported zero steps");
+      }
+      // Ledger before the reference runs: they flush into the same slots.
+      if (auto failure = check_ledger(run)) return failure;
+    }
     std::vector<Trace> traces;
     traces.reserve(s.cores);
     for (std::uint32_t c = 0; c < s.cores; ++c)
       traces.push_back(make_stream(s, c)->generate(s.window));
     for (std::size_t m = 0; m < s.width; ++m) {
       const sim::SystemResult reference = sim::simulate_system_reference(s.configs[m], traces);
-      if (auto diff = diff_member(run.results[m], reference))
-        return "member " + std::to_string(m) + ": " + *diff;
+      for (const BatchRun& run : runs) {
+        for (std::size_t r = 0; r < run.threads; ++r) {
+          if (auto diff = diff_member(run.replicas[r][m], reference))
+            return "member " + std::to_string(m) + " (threads " + std::to_string(run.threads) +
+                   ", replay " + std::to_string(r) + "): " + *diff;
+        }
+      }
     }
     return std::nullopt;
   };
