@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "c2b/common/assert.h"
-#include "c2b/obs/context.h"
 #include "c2b/obs/journal.h"
 #include "c2b/obs/obs.h"
 
@@ -43,11 +42,6 @@ struct ThreadPool::Impl {
   /// finishes and wakes the caller.
   struct Batch {
     const ChunkBody* body = nullptr;
-    /// The submitting thread's journal/progress, installed around every
-    /// chunk of this batch: with concurrent submitters (c2b serve), a
-    /// worker may interleave chunks from different jobs, and each chunk's
-    /// instrumentation must land in its own job's flight record.
-    obs::ObsContext context;
     std::atomic<std::size_t> remaining{0};
     std::mutex done_mutex;
     std::condition_variable done_cv;
@@ -79,7 +73,6 @@ struct ThreadPool::Impl {
   void run_chunk(const Chunk& chunk) noexcept {
     ++tls_fork_depth;
     try {
-      const obs::ScopedObsContext obs_scope(chunk.batch->context);
       (*chunk.batch->body)(chunk.begin, chunk.end);
     } catch (...) {
       std::lock_guard<std::mutex> lock(chunk.batch->error_mutex);
@@ -216,7 +209,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, const ChunkBod
 
   Impl::Batch batch;
   batch.body = &body;
-  batch.context = obs::capture_context();
   batch.remaining.store(chunk_count, std::memory_order_relaxed);
 
   // Deal chunks round-robin across executors: slot 0 is the caller's local

@@ -18,11 +18,6 @@ namespace {
 
 constexpr std::size_t kShardCount = 16;
 
-bool env_disables_cache() {
-  const char* env = std::getenv("C2B_SIM_CACHE");
-  return env != nullptr && env[0] == '0' && env[1] == '\0';
-}
-
 }  // namespace
 
 struct SimCache::Impl {
@@ -107,7 +102,6 @@ struct SimCache::Impl {
 SimCache::SimCache(std::size_t capacity) : impl_(new Impl) {
   C2B_REQUIRE(capacity >= kShardCount, "cache capacity below shard count");
   impl_->shard_capacity = capacity / kShardCount;
-  if (env_disables_cache()) impl_->enabled.store(false, std::memory_order_relaxed);
 }
 
 SimCache::~SimCache() { delete impl_; }

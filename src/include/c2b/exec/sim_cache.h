@@ -93,8 +93,9 @@ class SimCache {
   /// Equivalent to insert() per pair in order.
   void insert_many(const std::vector<std::pair<std::string, Value>>& entries);
 
-  /// Runtime kill switch (C2B_SIM_CACHE=0 disables at startup). When
-  /// disabled, find() always misses without counting and insert() drops.
+  /// Runtime switch, on by default; the oracles turn it off for their
+  /// cache-off reference runs. When disabled, find() always misses without
+  /// counting and insert() drops.
   bool enabled() const noexcept;
   void set_enabled(bool on) noexcept;
 

@@ -4,8 +4,7 @@
 // check runs emit typed events (run begin/end, phase transitions, trace
 // classes scheduled/completed, sim-cache peels, solver convergence,
 // periodic metric snapshots) into a JSONL file — one self-contained JSON
-// object per line — that `c2b report` replays into a post-mortem and the
-// future `c2b serve` daemon can stream to clients.
+// object per line — that `c2b report` replays into a post-mortem.
 //
 // Writer contract:
 //   * crash-safe: events are buffered in bounded memory and flushed to the
@@ -95,13 +94,10 @@ class RunJournal {
   Impl* impl_;
 };
 
-/// The journal the current *thread* records into, or nullptr when not
-/// recording. Thread-local so concurrent jobs can each stream their own
-/// record; ThreadPool::parallel_for captures the submitting thread's
-/// context and installs it around every chunk (see obs/context.h), so a
-/// journal installed before a sweep follows the sweep across workers.
-/// Compiled-out builds see a constant nullptr so emission sites vanish
-/// entirely.
+/// The journal the process records into, or nullptr when not recording.
+/// There is one active recorder per process: the thread driving the run
+/// installs it, and pool workers read the same pointer, so a journal
+/// installed before a sweep records the sweep's chunks on every worker.
 RunJournal* active_journal() noexcept;
 void set_active_journal(RunJournal* journal) noexcept;
 

@@ -79,6 +79,8 @@ class ProgressMeter {
   std::uint64_t segment_start_ns_;    ///< start of the innermost open segment
 };
 
+/// The meter the process reports into, or nullptr. One per process, like
+/// active_journal(): pool workers advance the meter the caller installed.
 ProgressMeter* active_progress() noexcept;
 void set_active_progress(ProgressMeter* meter) noexcept;
 

@@ -1,5 +1,6 @@
 #include "c2b/obs/journal.h"
 
+#include <atomic>
 #include <cctype>
 #include <charconv>
 #include <chrono>
@@ -52,17 +53,15 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
-// Thread-local: concurrent jobs (c2b serve) each install their own journal
-// on the thread driving the job; ThreadPool::parallel_for propagates the
-// submitting thread's obs context to whichever worker runs a chunk, so
-// emissions from inside a sweep land in that job's journal. Single-job CLI
-// runs behave exactly as before (install on main, sweeps propagate).
-thread_local RunJournal* g_active_journal = nullptr;
+// One active journal per process, installed by the thread that drives the
+// run and read by pool workers while they run its sweep chunks. Atomic so
+// those reads never race the install.
+std::atomic<RunJournal*> g_active_journal{nullptr};
 
 }  // namespace
 
-RunJournal* active_journal() noexcept { return g_active_journal; }
-void set_active_journal(RunJournal* journal) noexcept { g_active_journal = journal; }
+RunJournal* active_journal() noexcept { return g_active_journal.load(); }
+void set_active_journal(RunJournal* journal) noexcept { g_active_journal.store(journal); }
 
 // ---------------------------------------------------------------------------
 // JournalEvent

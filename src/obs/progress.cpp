@@ -1,6 +1,7 @@
 #include "c2b/obs/progress.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -27,14 +28,15 @@ std::string format_duration(double ms) {
   return buf;
 }
 
-// Thread-local for the same reason as g_active_journal: each concurrent
-// job installs its own meter, and the pool propagates it per batch.
-thread_local ProgressMeter* g_active_progress = nullptr;
+// One active meter per process, like g_active_journal: installed by the
+// thread that drives the run and read by pool workers, which advance it
+// from inside sweep chunks.
+std::atomic<ProgressMeter*> g_active_progress{nullptr};
 
 }  // namespace
 
-ProgressMeter* active_progress() noexcept { return g_active_progress; }
-void set_active_progress(ProgressMeter* meter) noexcept { g_active_progress = meter; }
+ProgressMeter* active_progress() noexcept { return g_active_progress.load(); }
+void set_active_progress(ProgressMeter* meter) noexcept { g_active_progress.store(meter); }
 
 ProgressMeter::ProgressMeter(Options options)
     : options_(options),

@@ -1,7 +1,8 @@
 // Flight-recorder writer/reader tests: event-schema round-trip through the
 // JSONL file, crash-truncation tolerance, I/O-failure drop accounting,
 // thread-equivalent event multisets (both for raw writers and for the real
-// batched sweep), and the journal's zero-interference guarantee (sweep
+// batched sweep, whose pool workers also advance the caller's progress
+// meter), and the journal's zero-interference guarantee (sweep
 // results bit-identical with the recorder on).
 
 #include "c2b/obs/journal.h"
@@ -19,6 +20,7 @@
 #include "c2b/aps/dse.h"
 #include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
+#include "c2b/obs/progress.h"
 #include "c2b/obs/registry.h"
 #include "c2b/trace/workloads.h"
 
@@ -310,13 +312,23 @@ TEST(JournalSweepTest, ClassEventMultisetIdenticalAcrossThreadCounts) {
     exec::set_thread_count(threads);
     const std::string path = temp_path("sweep" + std::to_string(threads) + ".jsonl");
     std::vector<BatchSimOutcome> outcomes;
+    // The meter is installed on this thread only; pool workers advance it
+    // from inside their chunks. The interval is far beyond any run, so the
+    // status line is never redrawn.
+    ProgressMeter::Options meter_options;
+    meter_options.interval_ms = 1'000'000'000'000;
+    ProgressMeter meter(meter_options);
     {
       auto journal = RunJournal::open(path);
       ASSERT_NE(journal, nullptr);
       set_active_journal(journal.get());
+      set_active_progress(&meter);
       outcomes = simulate_design_times_batched(context, points, nullptr);
+      set_active_progress(nullptr);
       set_active_journal(nullptr);
     }
+    EXPECT_GT(meter.total(), 0.0) << "threads " << threads;
+    EXPECT_EQ(meter.completed(), meter.total()) << "threads " << threads;
     const auto records = read_journal(path);
     scheduled.push_back(canonical_multiset(records, "class_scheduled"));
     completed.push_back(canonical_multiset(records, "class_completed"));

@@ -64,31 +64,6 @@
 //       print a one-line C2B_CHECK_SEED/C2B_CHECK_CASE repro and exit
 //       nonzero. --bands-out exports the per-workload tolerance bands as
 //       JSON; --corpus persists shrunk property counterexamples.
-//   c2b serve [--port P] [--host H] [--port-file <file>] [--spool <dir>]
-//             [--max-active N] [--max-queue N] [--cache-dir <dir>]
-//       Run the DSE service: a loopback HTTP daemon accepting concurrent
-//       dse/aps/check jobs (POST /jobs with a flat JSON body) on the shared
-//       thread pool, with bounded admission (--max-queue unfinished jobs,
-//       --max-active running at once), per-job journal streaming
-//       (GET /jobs/<id>/events, needs --spool), process-wide telemetry at
-//       GET /metrics, and graceful drain on POST /shutdown. --port 0 picks
-//       an ephemeral port, written to --port-file for scripts. --cache-dir
-//       attaches the persistent sim-cache tier (same as C2B_SIM_CACHE_DIR),
-//       so every job warm-starts from all previous runs.
-//   c2b submit --port P [--type dse|aps|check] [--workload <name>]
-//              [--family <oracle>] [--instructions N] [--per-core-cap N]
-//              [--area A] [--shared-area A] [--seed S] [--radius R]
-//              [--characterize-instructions N] [--large-axes] [--pareto]
-//              [--surrogate] [--job-threads N] [--body <json>]
-//              [--wait] [--poll-ms N]
-//       Submit one job to a running `c2b serve` and print the job id.
-//       Flags assemble the JSON body (--body overrides with raw JSON);
-//       --job-threads is the job's admission weight. --wait polls the
-//       status endpoint until the job finishes and prints the result.
-//   c2b fetch --port P [--path /metrics] [--post]
-//       One-shot HTTP helper against a running daemon: GET (or POST) the
-//       path and print the response body (e.g. /metrics, /stats,
-//       /jobs/0/events?from=0, /shutdown with --post).
 //
 // Flags accepted by every command:
 //   --threads N            parallel execution width for the DSE/APS sweeps
@@ -108,14 +83,12 @@
 // Every command prints plain text to stdout; exit code 0 on success.
 // Unknown flags are an error: each command lists them and exits nonzero.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 
 #include "c2b/aps/aps.h"
 #include "c2b/aps/characterize.h"
@@ -131,8 +104,6 @@
 #include "c2b/obs/obs.h"
 #include "c2b/obs/progress.h"
 #include "c2b/obs/report.h"
-#include "c2b/serve/http.h"
-#include "c2b/serve/server.h"
 #include "c2b/sim/system/system.h"
 #include "c2b/trace/trace_io.h"
 #include "c2b/trace/workloads.h"
@@ -144,7 +115,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: c2b <command> [flags]\n"
-               "commands: workloads | characterize | optimize | simulate | trace | aps | dse | report | check | serve | submit | fetch\n"
+               "commands: workloads | characterize | optimize | simulate | trace | aps | dse | report | check\n"
                "run `c2b <command> --help` is not needed — see the header of\n"
                "tools/c2b_cli.cpp or README.md for the flag lists.\n");
   return 2;
@@ -546,13 +517,17 @@ void print_surrogate_summary(const SurrogateStats& stats) {
               stats.rounds, stats.trained_samples, 100.0 * stats.mre);
 }
 
-int cmd_aps(const Args& args) {
+/// The sweep context `c2b aps` and `c2b dse` share: workload lookup, the
+/// study-size, area and seed flags, and the constraint budgets. Prints the
+/// error and returns nothing when the workload is unknown or a budget is
+/// invalid; the caller exits 2.
+std::optional<DseContext> sweep_context(const Args& args, const char* command) {
   const std::string name = args.get("workload", std::string("stencil"));
   const auto catalog = workload_catalog();
   const WorkloadSpec* spec = find_workload(catalog, name);
   if (spec == nullptr) {
     std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
+    return std::nullopt;
   }
 
   DseContext context;
@@ -563,10 +538,15 @@ int cmd_aps(const Args& args) {
   context.chip.total_area = args.get("area", 9.0);
   context.chip.shared_area = args.get("shared-area", 1.0);
   context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_constraint_flags(args, "aps", context)) return 2;
+  if (!apply_constraint_flags(args, command, context)) return std::nullopt;
+  return context;
+}
 
-  // A small buildable grid (the paper-scale space is bench territory; the
-  // CLI command is for inspecting one APS run end to end).
+/// The small buildable 64-point grid both sweep commands default to, so
+/// `c2b aps` (analytic narrowing) and `c2b dse` (full factorial) are
+/// directly comparable. The paper-scale space is bench territory; `c2b dse
+/// --large-axes` swaps in the Fig.-12-scale preset instead.
+DseAxes smoke_axes() {
   DseAxes axes;
   axes.a0 = {1.0, 4.0};
   axes.a1 = {0.5, 1.0};
@@ -574,6 +554,13 @@ int cmd_aps(const Args& args) {
   axes.n = {1, 2};
   axes.issue = {2, 4};
   axes.rob = {32, 64};
+  return axes;
+}
+
+int cmd_aps(const Args& args) {
+  const std::optional<DseContext> context = sweep_context(args, "aps");
+  if (!context) return 2;
+  const WorkloadSpec& spec = context->workload;
 
   ApsOptions options;
   options.neighborhood_radius =
@@ -587,14 +574,14 @@ int cmd_aps(const Args& args) {
     return 2;
   }
 
-  const GridSpace space = make_design_space(axes);
-  journal_sweep_config("aps", context, space.size());
-  ApsResult aps = run_aps(context, space, options);
+  const GridSpace space = make_design_space(smoke_axes());
+  journal_sweep_config("aps", *context, space.size());
+  ApsResult aps = run_aps(*context, space, options);
   // Re-running the same neighborhood hits the memoized simulation cache;
   // every repeat must reproduce the first result bit for bit (the
   // exec.simcache.* counters in --metrics-out show the hit traffic).
   for (long long r = 1; r < repeat; ++r) {
-    const ApsResult again = run_aps(context, space, options);
+    const ApsResult again = run_aps(*context, space, options);
     if (again.best_index != aps.best_index || again.best_time != aps.best_time ||
         again.memory_accesses != aps.memory_accesses) {
       std::fprintf(stderr, "aps: repeat %lld diverged from the first run\n", r);
@@ -602,8 +589,8 @@ int cmd_aps(const Args& args) {
     }
   }
 
-  std::printf("APS on workload %s (%s), %zu-point grid\n", spec->name.c_str(),
-              spec->emulates.c_str(), space.size());
+  std::printf("APS on workload %s (%s), %zu-point grid\n", spec.name.c_str(),
+              spec.emulates.c_str(), space.size());
   std::printf("characterize: CPI %.3f (CPI_exe %.3f), f_mem %.3f, C-AMAT %.3f\n",
               aps.characterization.measured_cpi, aps.characterization.cpi_exe,
               aps.characterization.app.f_mem, aps.characterization.camat.camat_value);
@@ -625,51 +612,22 @@ int cmd_aps(const Args& args) {
 }
 
 int cmd_dse(const Args& args) {
-  const std::string name = args.get("workload", std::string("stencil"));
-  const auto catalog = workload_catalog();
-  const WorkloadSpec* spec = find_workload(catalog, name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s' (see `c2b workloads`)\n", name.c_str());
-    return 2;
-  }
-
-  DseContext context;
-  context.base = default_system();
-  context.workload = *spec;
-  context.instructions0 = static_cast<std::uint64_t>(args.get("instructions", 20'000LL));
-  context.per_core_cap = static_cast<std::uint64_t>(args.get("per-core-cap", 10'000LL));
-  context.chip.total_area = args.get("area", 9.0);
-  context.chip.shared_area = args.get("shared-area", 1.0);
-  context.seed = static_cast<std::uint64_t>(args.get("seed", 99LL));
-  if (!apply_constraint_flags(args, "dse", context)) return 2;
-  if (!apply_surrogate_flags(args, "dse", context)) return 2;
+  std::optional<DseContext> context = sweep_context(args, "dse");
+  if (!context) return 2;
+  if (!apply_surrogate_flags(args, "dse", *context)) return 2;
+  const WorkloadSpec& spec = context->workload;
   const bool pareto = args.has("pareto");
   args.mark_used("pareto");
   const bool large_axes = args.get("large-axes", std::string("false")) == "true";
   args.finish();
 
-  // Same small buildable grid as `c2b aps`, so the two commands are directly
-  // comparable (full factorial here vs analytic narrowing there).
-  // --large-axes swaps in the Fig.-12-scale preset instead.
-  DseAxes axes;
-  if (large_axes) {
-    axes = make_large_axes();
-  } else {
-    axes.a0 = {1.0, 4.0};
-    axes.a1 = {0.5, 1.0};
-    axes.a2 = {1.0, 2.0};
-    axes.n = {1, 2};
-    axes.issue = {2, 4};
-    axes.rob = {32, 64};
-  }
-
-  const GridSpace space = make_design_space(axes);
-  journal_sweep_config("dse", context, space.size());
+  const GridSpace space = make_design_space(large_axes ? make_large_axes() : smoke_axes());
+  journal_sweep_config("dse", *context, space.size());
 
   if (pareto) {
-    const ParetoDseResult result = run_pareto_dse(context, space);
-    std::printf("Pareto DSE on workload %s (%s), %zu-point grid\n", spec->name.c_str(),
-                spec->emulates.c_str(), space.size());
+    const ParetoDseResult result = run_pareto_dse(*context, space);
+    std::printf("Pareto DSE on workload %s (%s), %zu-point grid\n", spec.name.c_str(),
+                spec.emulates.c_str(), space.size());
     std::printf("feasible          %zu of %zu points\n", result.feasible_count,
                 result.grid_points);
     std::printf("frontier          %zu non-dominated design(s) (time, power, area)\n",
@@ -691,10 +649,10 @@ int cmd_dse(const Args& args) {
     return 0;
   }
 
-  const FullDseResult full = run_full_dse(context, space);
+  const FullDseResult full = run_full_dse(*context, space);
 
   std::printf("full-factorial DSE on workload %s (%s), %zu-point grid\n",
-              spec->name.c_str(), spec->emulates.c_str(), space.size());
+              spec.name.c_str(), spec.emulates.c_str(), space.size());
   const std::vector<double> best = space.point(full.best_index);
   std::printf("best design: a0 %.2f | a1 %.2f | a2 %.2f | N %.0f | issue %.0f | rob %.0f\n",
               best[kAxisA0], best[kAxisA1], best[kAxisA2], best[kAxisN],
@@ -841,134 +799,6 @@ int cmd_check(const Args& args) {
   return all_passed ? 0 : 1;
 }
 
-int cmd_serve(const Args& args) {
-  serve::ServerOptions options;
-  options.host = args.get("host", std::string("127.0.0.1"));
-  options.port = static_cast<int>(args.get("port", 0LL));
-  options.max_active = static_cast<std::size_t>(args.get("max-active", 2LL));
-  options.max_queue = static_cast<std::size_t>(args.get("max-queue", 64LL));
-  options.spool_dir = args.get("spool", std::string(""));
-  const std::string port_file = args.get("port-file", std::string(""));
-  const std::string cache_dir = args.get("cache-dir", std::string(""));
-  args.finish();
-
-  if (!cache_dir.empty() && !exec::SimCache::global().attach_disk_tier(cache_dir)) {
-    std::fprintf(stderr, "serve: cannot attach cache dir '%s'\n", cache_dir.c_str());
-    return 1;
-  }
-  serve::Server server(options);
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "serve: %s\n", error.c_str());
-    return 1;
-  }
-  if (!port_file.empty()) {
-    std::ofstream out(port_file, std::ios::trunc);
-    out << server.port() << "\n";
-    if (!out) {
-      std::fprintf(stderr, "serve: cannot write port file '%s'\n", port_file.c_str());
-      return 1;
-    }
-  }
-  std::printf("serving on %s:%d (max-active %zu, max-queue %zu)\n", options.host.c_str(),
-              server.port(), options.max_active, options.max_queue);
-  std::fflush(stdout);
-  server.run();
-  exec::SimCache::global().flush_disk();
-  std::printf("serve: drained, exiting\n");
-  return 0;
-}
-
-int cmd_submit(const Args& args) {
-  const std::string host = args.get("host", std::string("127.0.0.1"));
-  const int port = static_cast<int>(args.get("port", 0LL));
-  std::string body = args.get("body", std::string(""));
-  if (body.empty()) {
-    // Assemble the flat JSON job body from flags; only flags actually
-    // given are serialized, so server-side defaults stay in one place.
-    body = "{\"type\":\"" + args.get("type", std::string("dse")) + "\"";
-    for (const char* key : {"workload", "family"})
-      if (args.has(key)) body += ",\"" + std::string(key) + "\":\"" + args.get(key, std::string("")) + "\"";
-    for (const char* key :
-         {"instructions", "per-core-cap", "area", "shared-area", "seed", "radius",
-          "characterize-instructions", "power-budget", "bw-budget", "noc-budget",
-          "surrogate-band", "surrogate-warmup"})
-      if (args.has(key)) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.17g", args.get(key, 0.0));
-        body += ",\"" + std::string(key) + "\":" + buf;
-      }
-    for (const char* key : {"large-axes", "pareto", "surrogate"})
-      if (args.get(key, std::string("false")) == "true")
-        body += ",\"" + std::string(key) + "\":1";
-    if (args.has("job-threads"))
-      body += ",\"threads\":" + std::to_string(args.get("job-threads", 1LL));
-    body += "}";
-  } else {
-    // A raw body overrides the assembler; still mark the flags used so
-    // finish() does not reject mixed invocations.
-    for (const char* key : {"type", "workload", "family", "job-threads"})
-      (void)args.get(key, std::string(""));
-  }
-  const bool wait = args.get("wait", std::string("false")) == "true";
-  const long long poll_ms = args.get("poll-ms", 200LL);
-  args.finish();
-  if (port <= 0) {
-    std::fprintf(stderr, "submit: --port is required (see `c2b serve --port-file`)\n");
-    return 2;
-  }
-
-  std::string error;
-  const auto response = serve::http_request(host, port, "POST", "/jobs", body, &error);
-  if (!response.has_value()) {
-    std::fprintf(stderr, "submit: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("%s\n", response->body.c_str());
-  if (response->status >= 300) return 1;
-  if (!wait) return 0;
-
-  const std::size_t id_pos = response->body.find("\"id\":");
-  if (id_pos == std::string::npos) return 1;
-  const unsigned long long id = std::strtoull(response->body.c_str() + id_pos + 5, nullptr, 10);
-  const std::string path = "/jobs/" + std::to_string(id);
-  for (;;) {
-    const auto status = serve::http_request(host, port, "GET", path, {}, &error);
-    if (!status.has_value()) {
-      std::fprintf(stderr, "submit: %s\n", error.c_str());
-      return 1;
-    }
-    const bool done = status->body.find("\"status\":\"done\"") != std::string::npos;
-    const bool failed = status->body.find("\"status\":\"failed\"") != std::string::npos;
-    if (done || failed) {
-      std::printf("%s\n", status->body.c_str());
-      return done ? 0 : 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(poll_ms > 0 ? poll_ms : 200));
-  }
-}
-
-int cmd_fetch(const Args& args) {
-  const std::string host = args.get("host", std::string("127.0.0.1"));
-  const int port = static_cast<int>(args.get("port", 0LL));
-  const std::string target = args.get("path", std::string("/metrics"));
-  const bool post = args.get("post", std::string("false")) == "true";
-  args.finish();
-  if (port <= 0) {
-    std::fprintf(stderr, "fetch: --port is required\n");
-    return 2;
-  }
-  std::string error;
-  const auto response =
-      serve::http_request(host, port, post ? "POST" : "GET", target, {}, &error);
-  if (!response.has_value()) {
-    std::fprintf(stderr, "fetch: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("%s\n", response->body.c_str());
-  return response->status < 400 ? 0 : 1;
-}
-
 /// Owns the run's recorder state and guarantees the process-global active
 /// pointers never outlive it, whichever way run() exits.
 struct RecorderSession {
@@ -984,8 +814,8 @@ int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const std::set<std::string> boolean_flags{
-      "simpoints", "asymmetric",   "coherence",  "progress", "pareto",
-      "surrogate", "no-surrogate", "large-axes", "wait",     "post"};
+      "simpoints", "asymmetric", "coherence",   "progress",
+      "pareto",    "surrogate",  "no-surrogate", "large-axes"};
   const Args args(argc, argv, 2, boolean_flags);
 
   // Cross-command flags; read before dispatch so the per-command finish()
@@ -1044,9 +874,6 @@ int run(int argc, char** argv) {
   else if (command == "dse") rc = cmd_dse(args);
   else if (command == "report") rc = cmd_report(args);
   else if (command == "check") rc = cmd_check(args);
-  else if (command == "serve") rc = cmd_serve(args);
-  else if (command == "submit") rc = cmd_submit(args);
-  else if (command == "fetch") rc = cmd_fetch(args);
   else return usage();
 
   if (recorder.progress != nullptr) {
