@@ -1,8 +1,9 @@
 // Batched-replay throughput benchmark: a cold-cache, Fig.-12-style
 // neighborhood sweep — many (issue, ROB, cache-split) variants of one
-// design around a fixed core count — simulated per point (each point
-// regenerating its own trace streams) vs batched over the shared chunk
-// store (each trace chunk generated once per batch unit and consumed by
+// design around a fixed core count — simulated per point (one-point
+// simulate_design_times_batched calls, each regenerating its own trace
+// streams) vs batched over the shared chunk store (one call over the whole
+// sweep: each trace chunk generated once per batch unit and consumed by
 // every member in lockstep). Both paths run at one thread with the sim
 // cache off, so the measured ratio isolates the batching win itself:
 // trace regeneration avoided plus chunk reuse while hot in cache.
@@ -106,21 +107,24 @@ int run_scenario(const Scenario& scenario, Measurement& m) {
   exec::set_thread_count(1);
   exec::SimCache::global().set_enabled(false);
 
+  // One design per call: the per-point baseline.
+  const auto simulate_per_point = [&scenario] {
+    std::vector<BatchSimOutcome> outcomes;
+    outcomes.reserve(scenario.points.size());
+    for (const std::vector<double>& point : scenario.points)
+      outcomes.push_back(simulate_design_times_batched(scenario.context, {point}).front());
+    return outcomes;
+  };
+
   // Untimed warmup + bitwise identity check.
-  std::vector<double> reference_times;
-  std::vector<std::uint64_t> reference_accesses;
-  for (const std::vector<double>& point : scenario.points) {
-    std::uint64_t accesses = 0;
-    reference_times.push_back(simulate_design_time(scenario.context, point, &accesses));
-    reference_accesses.push_back(accesses);
-    m.accesses += accesses;
-  }
+  const std::vector<BatchSimOutcome> per_point = simulate_per_point();
+  for (const BatchSimOutcome& outcome : per_point) m.accesses += outcome.memory_accesses;
   BatchReplayStats stats;
   const std::vector<BatchSimOutcome> outcomes =
       simulate_design_times_batched(scenario.context, scenario.points, &stats);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (!bits_equal(outcomes[i].time, reference_times[i]) ||
-        outcomes[i].memory_accesses != reference_accesses[i]) {
+    if (!bits_equal(outcomes[i].time, per_point[i].time) ||
+        outcomes[i].memory_accesses != per_point[i].memory_accesses) {
       std::fprintf(stderr, "%s: batched result diverged from per-point at point %zu\n",
                    scenario.name.c_str(), i);
       return 1;
@@ -132,8 +136,7 @@ int run_scenario(const Scenario& scenario, Measurement& m) {
   m.batched_ms = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
     auto start = std::chrono::steady_clock::now();
-    for (const std::vector<double>& point : scenario.points)
-      (void)simulate_design_time(scenario.context, point, nullptr);
+    (void)simulate_per_point();
     m.per_point_ms = std::min(m.per_point_ms, wall_ms(start));
     start = std::chrono::steady_clock::now();
     (void)simulate_design_times_batched(scenario.context, scenario.points, nullptr);

@@ -59,32 +59,25 @@ void bm_cache_fill_evict(benchmark::State& state) {
 }
 BENCHMARK(bm_cache_fill_evict);
 
-// A/B: per-key SimCache::find vs the bulk find_many used by the DSE
-// cache-peel loop. Arg(0) probes key by key (kShardCount lock takes per
-// batch-sized slice in the worst case), Arg(1) probes the whole batch in
-// one call (one lock take per shard). Same keys, same hit pattern.
+// SimCache::find_many as the DSE cache-peel loop uses it: one call probes
+// a 256-key batch at a 50% hit rate (one lock take per shard).
 void bm_simcache_probe_batch(benchmark::State& state) {
   exec::SimCache cache(1 << 12);
   constexpr std::size_t kBatch = 256;
   std::vector<std::string> keys;
   keys.reserve(kBatch);
+  std::vector<std::pair<std::string, exec::SimCache::Value>> seeded;
   for (std::size_t i = 0; i < kBatch; ++i) {
     std::string key = "n=4 a0=1 a1=0.5 a2=1 probe=";
     key += std::to_string(i);
     keys.push_back(key);
-    if (i % 2 == 0) cache.insert(key, {static_cast<double>(i), i});  // 50% hits
+    if (i % 2 == 0) seeded.emplace_back(key, exec::SimCache::Value{static_cast<double>(i), i});
   }
-  const bool bulk = state.range(0) != 0;
-  for (auto _ : state) {
-    if (bulk) {
-      benchmark::DoNotOptimize(cache.find_many(keys));
-    } else {
-      for (const std::string& key : keys) benchmark::DoNotOptimize(cache.find(key));
-    }
-  }
+  cache.insert_many(seeded);
+  for (auto _ : state) benchmark::DoNotOptimize(cache.find_many(keys));
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
 }
-BENCHMARK(bm_simcache_probe_batch)->Arg(0)->Arg(1);
+BENCHMARK(bm_simcache_probe_batch);
 
 void bm_mshr_request(benchmark::State& state) {
   sim::MshrFile mshr(16);

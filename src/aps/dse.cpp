@@ -39,7 +39,7 @@ std::uint64_t pow2_capacity(double bytes, std::uint32_t line_bytes, std::uint32_
 }
 
 // --- canonical simulation-cache key ---------------------------------------
-// Every field simulate_design_time's result depends on, spelled out
+// Every field a design's simulated time depends on, spelled out
 // exactly; see c2b/exec/sim_cache.h for the contract.
 
 void key_append(std::string& key, std::uint64_t v) {
@@ -102,9 +102,9 @@ std::string simulation_cache_key(const DseContext& context, const sim::SystemCon
   return key;
 }
 
-/// The per-phase simulation setup simulate_design_time derives from
+/// The per-phase simulation setup a design's time derives from
 /// (context, N): instruction counts, footprint scales, and capped windows.
-/// Shared by the per-point and batched paths so both simulate the exact
+/// Shared by the batched and reference paths so both simulate the exact
 /// same streams; a window of 0 means the phase does not run.
 struct PhasePlan {
   double n_d = 1.0;
@@ -161,7 +161,7 @@ std::unique_ptr<TraceGenerator> make_parallel_generator(const DseContext& contex
 /// phase contributes CPI x serial instruction count, the parallel phase
 /// its makespan extrapolated linearly from the simulated window to the
 /// full per-core share. Null marks a phase that does not run. Every
-/// simulation path (batched, per-point, reference) folds through here.
+/// simulation path (batched and reference) folds through here.
 BatchSimOutcome fold_phases(const PhasePlan& plan, const sim::SystemResult* serial,
                             const sim::SystemResult* parallel) {
   double total_cycles = 0.0;
@@ -325,11 +325,10 @@ struct BatchUnitResult {
 
 /// Simulate one unit: generate each phase's streams once into a shared
 /// chunk store and replay all members over them in lockstep. This is the
-/// only production simulation path of a design — simulate_design_time runs
-/// it on a one-member unit.
+/// only production simulation path of a design.
 BatchUnitResult run_batch_unit(const DseContext& context,
                                const std::vector<sim::SystemConfig>& configs,
-                               const BatchUnit& unit, const ClassPrototypes* prototypes) {
+                               const BatchUnit& unit, const ClassPrototypes& prototypes) {
   const std::size_t k = unit.members.size();
   const std::uint32_t n = configs[unit.members.front()].hierarchy.cores;
   const PhasePlan plan = make_phase_plan(context, n);
@@ -337,14 +336,13 @@ BatchUnitResult run_batch_unit(const DseContext& context,
   // Clone the class prototype when one exists (and is clonable); fall back
   // to constructing from scratch. Both produce bit-identical streams.
   const auto serial_stream = [&]() -> std::unique_ptr<TraceGenerator> {
-    if (prototypes != nullptr && prototypes->serial != nullptr)
-      if (auto cloned = prototypes->serial->clone()) return cloned;
+    if (prototypes.serial != nullptr)
+      if (auto cloned = prototypes.serial->clone()) return cloned;
     return make_serial_generator(context, plan);
   };
   const auto parallel_stream = [&](std::uint32_t c) -> std::unique_ptr<TraceGenerator> {
-    if (prototypes != nullptr && c < prototypes->parallel.size() &&
-        prototypes->parallel[c] != nullptr)
-      if (auto cloned = prototypes->parallel[c]->clone()) return cloned;
+    if (c < prototypes.parallel.size() && prototypes.parallel[c] != nullptr)
+      if (auto cloned = prototypes.parallel[c]->clone()) return cloned;
     return make_parallel_generator(context, plan, c);
   };
 
@@ -403,34 +401,6 @@ BatchUnitResult run_batch_unit(const DseContext& context,
 }
 
 }  // namespace
-
-double simulate_design_time(const DseContext& context, const std::vector<double>& point,
-                            std::uint64_t* memory_accesses) {
-  const sim::SystemConfig config = config_for_design(context, point);
-
-  // Memoization: the result is a pure function of (config, workload, seed,
-  // windows) — all encoded in the key. A hit returns the bit-identical
-  // time and access count the original simulation produced.
-  const std::string cache_key = simulation_cache_key(context, config);
-  exec::SimCache& cache = exec::SimCache::global();
-  if (!cache_key.empty()) {
-    if (const auto cached = cache.find(cache_key)) {
-      // Replayed accesses never reach the simulator's sim.l1.* counters;
-      // this counter keeps the telemetry ledger balanced:
-      //   sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses
-      //     == total reported memory accesses.
-      C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached->memory_accesses);
-      if (memory_accesses != nullptr) *memory_accesses += cached->memory_accesses;
-      return cached->time;
-    }
-  }
-
-  const BatchSimOutcome outcome =
-      run_batch_unit(context, {config}, BatchUnit{{0}, 0}, nullptr).outcomes.front();
-  if (!cache_key.empty()) cache.insert(cache_key, {outcome.time, outcome.memory_accesses});
-  if (memory_accesses != nullptr) *memory_accesses += outcome.memory_accesses;
-  return outcome.time;
-}
 
 BatchSimOutcome simulate_design_time_reference(const DseContext& context,
                                                const std::vector<double>& point) {
@@ -491,6 +461,8 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   local.cache_hits_disk = static_cast<std::size_t>(peel_disk_hits);
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (cached[i].has_value()) {
+      // Replayed accesses never reach sim.l1.*; this counter closes the
+      // telemetry ledger (see the header).
       C2B_COUNTER_ADD("exec.simcache.replayed_accesses", cached[i]->memory_accesses);
       outcomes[i] = {cached[i]->time, cached[i]->memory_accesses};
       keys[i].clear();  // nothing to insert later
@@ -582,7 +554,7 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
           units.size(), [&](std::size_t u) {
             const auto start = std::chrono::steady_clock::now();
             BatchUnitResult result =
-                run_batch_unit(context, configs, units[u], &prototypes[units[u].class_index]);
+                run_batch_unit(context, configs, units[u], prototypes[units[u].class_index]);
             const double wall_ms =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)

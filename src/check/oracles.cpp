@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,8 +17,6 @@
 #include <tuple>
 #include <utility>
 
-#include "c2b/common/assert.h"
-
 #include "c2b/aps/aps.h"
 #include "c2b/aps/characterize.h"
 #include "c2b/check/generators.h"
@@ -30,6 +29,22 @@
 
 namespace c2b::check {
 namespace {
+
+/// Thread counts every multi-threaded family sweeps: the front is the
+/// serial baseline, the back the widest pool (also used for the warm-cache
+/// runs).
+constexpr std::array<std::size_t, 3> kThreadCounts{1, 2, 8};
+
+/// Random DSE scenarios the invariant family's telemetry ledger traces end
+/// to end.
+constexpr std::size_t kLedgerConfigs = 2;
+
+/// One design through the shipped evaluator on its own: a one-point
+/// simulate_design_times_batched call.
+BatchSimOutcome simulate_one(const DseContext& context, const std::vector<double>& point,
+                             BatchReplayStats* stats = nullptr) {
+  return simulate_design_times_batched(context, {point}, stats).front();
+}
 
 /// Bitwise double equality — the determinism contract is bit-identity, not
 /// epsilon closeness (and NaN == NaN under this comparison).
@@ -127,20 +142,25 @@ OracleReport run_analytic_vs_sim_oracle(const OracleOptions& options) {
     // (issue 4 / ROB 128): the analytic model deliberately does not see
     // the issue/ROB axes, so varying them would measure scope, not error.
     Rng rng(Rng::derive_stream_seed(options.seed, workload_index));
-    double error_sum = 0.0;
+    std::vector<std::vector<double>> points;
     for (std::size_t s = 0; s < options.designs_per_workload; ++s) {
       const double a0 = pick(rng, {1.0, 2.0, 4.0});
       const double a1 = pick(rng, {0.5, 1.0, 2.0});
       const double a2 = pick(rng, {1.0, 2.0, 4.0});
       const double n = pick(rng, {1.0, 2.0, 4.0});
-      const std::vector<double> point{a0, a1, a2, n, 4.0, 128.0};
-      if (!design_feasible(context, point)) continue;
+      std::vector<double> point{a0, a1, a2, n, 4.0, 128.0};
+      if (design_feasible(context, point)) points.push_back(std::move(point));
+    }
+    const std::vector<BatchSimOutcome> simulated =
+        simulate_design_times_batched(context, points);
 
-      const double sim_time = simulate_design_time(context, point);
-      const Evaluation eval =
-          model.evaluate({.n_cores = n, .a0 = a0, .a1 = a1, .a2 = a2});
-      // simulate_design_time reports time per unit work (J_D / g(N));
-      // normalize the analytic J_D the same way before comparing.
+    double error_sum = 0.0;
+    for (std::size_t s = 0; s < points.size(); ++s) {
+      const double sim_time = simulated[s].time;
+      const double n = points[s][kAxisN];
+      const Evaluation eval = model.evaluate(design_point_of(points[s]));
+      // The simulator reports time per unit work (J_D / g(N)); normalize
+      // the analytic J_D the same way before comparing.
       const double analytic_time = eval.execution_time / model.app().g(n);
 
       ++report.checks;
@@ -214,7 +234,6 @@ std::optional<std::string> compare_fingerprints(const SweepFingerprint& ref,
 OracleReport run_determinism_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "determinism";
-  C2B_REQUIRE(!options.thread_counts.empty(), "determinism oracle needs thread counts");
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
 
@@ -228,7 +247,7 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
     // the comparison exercises the parallel execution paths for real.
     cache.set_enabled(false);
     std::optional<SweepFingerprint> reference;
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       exec::set_thread_count(threads);
       const SweepFingerprint fp = fingerprint(run_full_dse(scenario.context, space));
       ++report.checks;
@@ -236,8 +255,7 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
         reference = fp;
         continue;
       }
-      if (auto diff = compare_fingerprints(*reference, options.thread_counts.front(),
-                                           fp, threads)) {
+      if (auto diff = compare_fingerprints(*reference, kThreadCounts.front(), fp, threads)) {
         report.failures.push_back("DSE config #" + std::to_string(i) + " (" +
                                   print_dse_scenario(scenario) + "): " + *diff +
                                   "; repro: " + repro);
@@ -249,12 +267,12 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
     // replayed run must reproduce the cold result bit for bit.
     cache.set_enabled(true);
     cache.clear();
-    exec::set_thread_count(options.thread_counts.back());
+    exec::set_thread_count(kThreadCounts.back());
     const SweepFingerprint cold = fingerprint(run_full_dse(scenario.context, space));
     const SweepFingerprint warm = fingerprint(run_full_dse(scenario.context, space));
     ++report.checks;
-    if (auto diff = compare_fingerprints(cold, options.thread_counts.back(), warm,
-                                         options.thread_counts.back())) {
+    if (auto diff =
+            compare_fingerprints(cold, kThreadCounts.back(), warm, kThreadCounts.back())) {
       report.failures.push_back("DSE config #" + std::to_string(i) +
                                 " warm-cache replay diverged: " + *diff +
                                 "; repro: " + repro);
@@ -287,7 +305,7 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
     cache.set_enabled(false);
     std::optional<ApsResult> reference;
     std::size_t reference_threads = 0;
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       exec::set_thread_count(threads);
       const ApsResult run = run_aps(scenario.context, space, aps_options);
       ++report.checks;
@@ -483,7 +501,7 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
   if (C2B_OBS_ACTIVE()) {
     ExecStateGuard guard;
     exec::SimCache& cache = exec::SimCache::global();
-    for (std::size_t i = 0; i < options.ledger_configs; ++i) {
+    for (std::size_t i = 0; i < kLedgerConfigs; ++i) {
       Rng rng(Rng::derive_stream_seed(options.seed, 40'000 + i));
       const DseScenario scenario = gen_dse_scenario(rng);
       const GridSpace space = make_design_space(scenario.axes);
@@ -735,11 +753,11 @@ std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& 
 }
 
 /// The DSE layer vs simulate_design_time_reference on random design sets:
-/// per-point simulate_design_time and simulate_design_times_batched at
-/// every thread count, cold (cache off) and warm (cache populated by a
-/// batched run, then replayed batched and per point) — times and access
-/// counts bitwise, every point accounted for once, the telemetry ledger
-/// balanced.
+/// simulate_design_times_batched one point per call (batch width 1) and
+/// over the whole set at every thread count, cold (cache off) and warm
+/// (cache populated by a whole-set run, then replayed whole and one point
+/// per call) — times and access counts bitwise, every point accounted for
+/// once, the telemetry ledger balanced.
 void check_design_sets(const OracleOptions& options, OracleReport& report) {
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
@@ -796,18 +814,17 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
       }
     };
 
-    // Cold per-point runs: every design really simulates, one at a time,
+    // Cold per-point runs: every design really simulates, one per call,
     // through the K=1 production path.
     cache.set_enabled(false);
     exec::set_thread_count(1);
     if (C2B_OBS_ACTIVE()) obs::Registry::global().reset_values();
     std::uint64_t per_point_accesses = 0;
     for (std::size_t j = 0; j < points.size(); ++j) {
-      std::uint64_t accesses = 0;
-      const double time = simulate_design_time(scenario.context, points[j], &accesses);
-      per_point_accesses += accesses;
+      const BatchSimOutcome one = simulate_one(scenario.context, points[j]);
+      per_point_accesses += one.memory_accesses;
       ++report.checks;
-      if (auto diff = diff_outcome(j, time, accesses)) {
+      if (auto diff = diff_outcome(j, one.time, one.memory_accesses)) {
         report.failures.push_back(where + " per-point: " + *diff + "; repro: " + repro);
         break;
       }
@@ -815,7 +832,7 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
     check_ledger("per-point", per_point_accesses);
 
     // Cold batched runs at every thread count.
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       exec::set_thread_count(threads);
       if (C2B_OBS_ACTIVE()) obs::Registry::global().reset_values();
       BatchReplayStats stats;
@@ -838,11 +855,12 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
       check_ledger(what, reported);
     }
 
-    // Warm path: a batched run bulk-inserts its results; a second batched
-    // run and per-point runs must replay those exact values.
+    // Warm path: a whole-set run bulk-inserts its results; a second
+    // whole-set run and one-point runs must replay those exact values, each
+    // one-point run as exactly one cache hit.
     cache.set_enabled(true);
     cache.clear();
-    exec::set_thread_count(options.thread_counts.back());
+    exec::set_thread_count(kThreadCounts.back());
     const std::vector<BatchSimOutcome> cold =
         simulate_design_times_batched(scenario.context, points, nullptr);
     BatchReplayStats warm_stats;
@@ -859,11 +877,19 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
                                 " points from the cache; repro: " + repro);
     } else {
       for (std::size_t j = 0; j < points.size(); ++j) {
-        std::uint64_t accesses = 0;
-        const double time = simulate_design_time(scenario.context, points[j], &accesses);
-        if (auto diff = diff_outcome(j, time, accesses)) {
+        BatchReplayStats one_stats;
+        const BatchSimOutcome one = simulate_one(scenario.context, points[j], &one_stats);
+        if (auto diff = diff_outcome(j, one.time, one.memory_accesses)) {
           report.failures.push_back(where + " per-point warm replay: " + *diff +
                                     "; repro: " + repro);
+          break;
+        }
+        if (one_stats.cache_hits != 1 || one_stats.members != 0) {
+          report.failures.push_back(where + " per-point warm replay of point " +
+                                    std::to_string(j) + " peeled " +
+                                    std::to_string(one_stats.cache_hits) +
+                                    " cache hits and simulated " +
+                                    std::to_string(one_stats.members) + "; repro: " + repro);
           break;
         }
       }
@@ -876,7 +902,6 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
 OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "kernel";
-  C2B_REQUIRE(!options.thread_counts.empty(), "kernel oracle needs thread counts");
 
   // --- per-point kernel vs per-cycle reference, bitwise -------------------
   // Random configurations with coherence and prefetching forced on for a
@@ -982,7 +1007,6 @@ OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
 OracleReport run_constraint_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "constraint";
-  C2B_REQUIRE(!options.thread_counts.empty(), "constraint oracle needs thread counts");
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
 
@@ -1033,7 +1057,7 @@ OracleReport run_constraint_oracle(const OracleOptions& options) {
       if (!set.feasible(d)) return;
       TruthPoint tp;
       tp.flat = flat;
-      tp.time = simulate_design_time(context, point);
+      tp.time = simulate_one(context, point).time;
       tp.power = context.cost.power.total(d, context.chip.shared_area);
       tp.area = d.n_cores * (d.a0 + d.a1 + d.a2) + context.chip.shared_area;
       truth_times[flat] = tp.time;
@@ -1091,7 +1115,7 @@ OracleReport run_constraint_oracle(const OracleOptions& options) {
 
     // The constrained optimizer and the Pareto mode must reproduce the
     // enumeration bitwise at every thread count.
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       exec::set_thread_count(threads);
       const FullDseResult full = run_full_dse(context, space);
       ++report.checks;
@@ -1120,7 +1144,7 @@ OracleReport run_constraint_oracle(const OracleOptions& options) {
     // simulation from the cache and must still match the enumeration.
     cache.set_enabled(true);
     cache.clear();
-    exec::set_thread_count(options.thread_counts.back());
+    exec::set_thread_count(kThreadCounts.back());
     const ParetoDseResult cold = run_pareto_dse(context, space);
     const ParetoDseResult warm = run_pareto_dse(context, space);
     ++report.checks;
@@ -1143,7 +1167,6 @@ OracleReport run_constraint_oracle(const OracleOptions& options) {
 OracleReport run_surrogate_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "surrogate";
-  C2B_REQUIRE(!options.thread_counts.empty(), "surrogate oracle needs thread counts");
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
 
@@ -1271,7 +1294,7 @@ OracleReport run_surrogate_oracle(const OracleOptions& options) {
     // Cold cache: the pruned sweep must land on the exhaustive optimum and
     // frontier bitwise at every thread count.
     bool diverged = false;
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       exec::set_thread_count(threads);
       const FullDseResult full = run_full_dse(surrogate_context, space);
       ++report.checks;
@@ -1305,20 +1328,20 @@ OracleReport run_surrogate_oracle(const OracleOptions& options) {
     // results, so both must still match the exhaustive ground truth.
     cache.set_enabled(true);
     cache.clear();
-    exec::set_thread_count(options.thread_counts.back());
+    exec::set_thread_count(kThreadCounts.back());
     const FullDseResult cold_full = run_full_dse(surrogate_context, space);
     const ParetoDseResult cold = run_pareto_dse(surrogate_context, space);
     const ParetoDseResult warm = run_pareto_dse(surrogate_context, space);
     ++report.checks;
     if (auto diff = diff_full(cold_full)) {
-      fail(options.thread_counts.back(), "cold cached run diverged: " + *diff);
+      fail(kThreadCounts.back(), "cold cached run diverged: " + *diff);
     } else if (auto diff = diff_pareto(cold)) {
-      fail(options.thread_counts.back(), "cold cached pareto diverged: " + *diff);
+      fail(kThreadCounts.back(), "cold cached pareto diverged: " + *diff);
     } else if (auto warm_diff = diff_pareto(warm)) {
-      fail(options.thread_counts.back(), "warm replay diverged: " + *warm_diff);
+      fail(kThreadCounts.back(), "warm replay diverged: " + *warm_diff);
     } else if (warm.surrogate.points_simulated != cold.surrogate.points_simulated ||
                warm.surrogate.classes_pruned != cold.surrogate.classes_pruned) {
-      fail(options.thread_counts.back(),
+      fail(kThreadCounts.back(),
            "warm replay took a different path: " +
                std::to_string(warm.surrogate.points_simulated) + " sims / " +
                std::to_string(warm.surrogate.classes_pruned) + " pruned vs cold " +
@@ -1332,7 +1355,6 @@ OracleReport run_surrogate_oracle(const OracleOptions& options) {
 OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
   OracleReport report;
   report.family = "persistent_cache";
-  C2B_REQUIRE(!options.thread_counts.empty(), "cache oracle needs thread counts");
   namespace fs = std::filesystem;
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
@@ -1363,7 +1385,7 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
     // must reproduce bitwise.
     cache.detach_disk_tier();
     cache.set_enabled(false);
-    const std::size_t ref_threads = options.thread_counts.back();
+    const std::size_t ref_threads = kThreadCounts.back();
     exec::set_thread_count(ref_threads);
     const SweepFingerprint ref = fingerprint(run_full_dse(scenario.context, space));
     cache.set_enabled(true);
@@ -1379,7 +1401,7 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
     // drop the memory tier and re-attach the same directory — the
     // process-restart emulation — once per thread count.
     bool diverged = false;
-    for (const std::size_t threads : options.thread_counts) {
+    for (const std::size_t threads : kThreadCounts) {
       cache.detach_disk_tier();
       cache.clear();
       if (!cache.attach_disk_tier(dir.string())) {

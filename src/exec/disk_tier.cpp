@@ -271,13 +271,6 @@ DiskTier::~DiskTier() {
     if (file != nullptr) std::fclose(file);
 }
 
-std::optional<SimCache::Value> DiskTier::find(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(impl_->index_mutex);
-  const auto it = impl_->index.find(key);
-  if (it == impl_->index.end()) return std::nullopt;
-  return it->second;
-}
-
 void DiskTier::find_many(const std::vector<std::string>& keys,
                          const std::vector<std::size_t>& indices,
                          std::vector<std::optional<SimCache::Value>>& out,

@@ -59,8 +59,6 @@ struct SimCache::Impl {
     return std::hash<std::string>{}(key) % kShardCount;
   }
 
-  Shard& shard_for(const std::string& key) { return shards[shard_index(key)]; }
-
   /// Second-chance eviction: the entry at the clock hand is evicted unless
   /// its referenced bit is set, in which case the bit is cleared and the
   /// entry rotates to the back for one more cycle. Terminates in at most
@@ -86,7 +84,7 @@ struct SimCache::Impl {
   }
 
   /// Inserts into the memory tier only (no disk enqueue): the shared body
-  /// of insert(), insert_many(), and disk-hit promotion. Caller holds the
+  /// of insert_many() and disk-hit promotion. Caller holds the
   /// shard mutex. Returns true when the key was new.
   bool insert_locked(Shard& shard, const std::string& key, const Value& value) {
     const auto [it, inserted] = shard.entries.insert_or_assign(key, Entry{value, false});
@@ -112,37 +110,6 @@ bool SimCache::enabled() const noexcept {
 
 void SimCache::set_enabled(bool on) noexcept {
   impl_->enabled.store(on, std::memory_order_relaxed);
-}
-
-std::optional<SimCache::Value> SimCache::find(const std::string& key) {
-  if (!enabled()) return std::nullopt;
-  Impl::Shard& shard = impl_->shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      it->second.referenced = true;
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      C2B_COUNTER_INC("exec.simcache.hit");
-      return it->second.value;
-    }
-  }
-  // Memory miss: fall through to the disk tier before declaring a miss.
-  if (const auto disk = impl_->disk_tier()) {
-    if (const auto value = disk->find(key)) {
-      impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
-      C2B_COUNTER_INC("exec.simcache.disk.hit");
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      impl_->insert_locked(shard, key, *value);  // promote
-      impl_->publish_entry_count();
-      return value;
-    }
-    impl_->disk_misses.fetch_add(1, std::memory_order_relaxed);
-    C2B_COUNTER_INC("exec.simcache.disk.miss");
-  }
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  C2B_COUNTER_INC("exec.simcache.miss");
-  return std::nullopt;
 }
 
 std::vector<std::optional<SimCache::Value>> SimCache::find_many(
@@ -212,19 +179,6 @@ std::vector<std::optional<SimCache::Value>> SimCache::find_many(
     C2B_COUNTER_ADD("exec.simcache.miss", static_cast<long long>(full_misses));
   }
   return out;
-}
-
-void SimCache::insert(const std::string& key, const Value& value) {
-  if (!enabled()) return;
-  Impl::Shard& shard = impl_->shard_for(key);
-  bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    inserted = impl_->insert_locked(shard, key, value);
-  }
-  impl_->publish_entry_count();
-  if (!inserted) return;
-  if (const auto disk = impl_->disk_tier()) disk->enqueue(key, value);
 }
 
 void SimCache::insert_many(const std::vector<std::pair<std::string, Value>>& entries) {

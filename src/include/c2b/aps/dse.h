@@ -103,20 +103,6 @@ sim::SystemConfig config_for_design(const DseContext& context,
 /// are not simulated by any method.
 bool design_feasible(const DseContext& context, const std::vector<double>& point);
 
-/// Ground-truth cost of this design: execution time (cycles) of the
-/// capacity-scaled problem divided by its work factor g(N) — i.e. inverse
-/// throughput, time per unit work. Lower is better. Normalizing by g(N)
-/// makes the metric consistent across core counts for BOTH cases of the
-/// paper's split (for fixed g it is plain time; for scalable g it ranks by
-/// W/T, which is what case I optimizes).
-/// `memory_accesses`, when non-null, accumulates (+=) the demand memory
-/// accesses the underlying simulations issued. Results are memoized in
-/// exec::SimCache::global(); a hit replays the recorded access count
-/// without touching the simulator, so the telemetry ledger is
-/// sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses == total.
-double simulate_design_time(const DseContext& context, const std::vector<double>& point,
-                            std::uint64_t* memory_accesses = nullptr);
-
 /// Stream-determining key of a design: every field that decides which trace
 /// records the simulator consumes — workload uid + numeric g/memory_scale
 /// samples (including at the actual core count), f_seq, seed, IC0, window
@@ -128,17 +114,23 @@ double simulate_design_time(const DseContext& context, const std::vector<double>
 /// across contexts).
 std::string trace_class_key(const DseContext& context, std::uint32_t cores);
 
-/// One simulate_design_time result, by value.
+/// Ground-truth cost of one design: execution time (cycles) of the
+/// capacity-scaled problem divided by its work factor g(N) — i.e. inverse
+/// throughput, time per unit work. Lower is better. Normalizing by g(N)
+/// makes the metric consistent across core counts for BOTH cases of the
+/// paper's split (for fixed g it is plain time; for scalable g it ranks by
+/// W/T, which is what case I optimizes). `memory_accesses` counts the
+/// demand memory accesses the underlying simulations issued.
 struct BatchSimOutcome {
   double time = 0.0;
   std::uint64_t memory_accesses = 0;
 };
 
-/// The differential baseline for simulate_design_time: the same phase plan
-/// and extrapolation, but over materialized traces on the per-cycle
-/// reference kernel (sim::simulate_system_reference), with no sim cache.
-/// The `kernel` oracle family requires the production paths to equal it
-/// bitwise. Not for production use — it walks every cycle.
+/// The differential baseline for simulate_design_times_batched: the same
+/// phase plan and extrapolation, but over materialized traces on the
+/// per-cycle reference kernel (sim::simulate_system_reference), with no sim
+/// cache. The `kernel` oracle family requires the production path to equal
+/// it bitwise. Not for production use — it walks every cycle.
 BatchSimOutcome simulate_design_time_reference(const DseContext& context,
                                                const std::vector<double>& point);
 
@@ -189,17 +181,22 @@ struct SurrogateStats {
   double mre = 0.0;  ///< final model mean relative error on simulated points
 };
 
-/// Batched evaluation of many design points: sim-cache hits are peeled off
-/// up front, the misses are grouped into trace-equivalence classes (see
-/// trace_class_key), each class generates its streams once into a shared
-/// chunk store, and the members replay them in lockstep
+/// The one way to evaluate design points (one BatchSimOutcome per point,
+/// in order; a single design is a one-point call). Sim-cache hits are
+/// peeled off up front, the misses are grouped into trace-equivalence
+/// classes (see trace_class_key), each class generates its streams once
+/// into a shared chunk store, and the members replay them in lockstep
 /// (sim::simulate_system_batched). Classes are split into bounded work
 /// units and scheduled on the exec thread pool; the unit layout is a pure
 /// function of the point list, so results are bit-identical at any thread
-/// count — and bit-identical to calling simulate_design_time per point
-/// (the `kernel` oracle family enforces this). Results are bulk-inserted
-/// into the sim cache afterwards; duplicate points in one call are
-/// simulated redundantly rather than cross-hitting mid-sweep.
+/// count and batch width — and bit-identical to
+/// simulate_design_time_reference (the `kernel` oracle family enforces
+/// this). Results are bulk-inserted into exec::SimCache::global()
+/// afterwards; duplicate points in one call are simulated redundantly
+/// rather than cross-hitting mid-sweep. A cache hit replays the recorded
+/// access count without touching the simulator, so the telemetry ledger is
+/// sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses == reported
+/// accesses.
 std::vector<BatchSimOutcome> simulate_design_times_batched(
     const DseContext& context, const std::vector<std::vector<double>>& points,
     BatchReplayStats* stats = nullptr);

@@ -7,8 +7,9 @@
 // deliberately simple reference or a contract:
 //
 //   1. analytic-vs-simulator — the calibrated C²-Bound model's predicted
-//      time-per-work vs simulate_design_time across sampled designs, with
-//      a per-workload tolerance band asserted and exportable as JSON;
+//      time-per-work vs the simulator (one simulate_design_times_batched
+//      call per workload) across sampled designs, with a per-workload
+//      tolerance band asserted and exportable as JSON;
 //   2. serial-vs-parallel — the determinism contract (thread counts 1/2/8
 //      bit-identical, warm sim-cache replay identity) on random DSE/APS
 //      scenarios instead of hand-picked ones;
@@ -22,11 +23,12 @@
 //      random configurations (coherence and prefetch included) and random
 //      traces with the per-run demand-access ledger, streaming-cursor vs
 //      materialized replay, and batch widths {1,2,4,8,16} over shared
-//      chunk-store streams; then the DSE layer — per-point
-//      simulate_design_time and simulate_design_times_batched vs
-//      simulate_design_time_reference on random design-point sets, times
-//      and access counts bitwise at every thread count, cold and warm sim
-//      cache, with the telemetry ledger balanced;
+//      chunk-store streams; then the DSE layer — the shipped
+//      simulate_design_times_batched, one point per call and whole sets at
+//      every thread count, vs simulate_design_time_reference on random
+//      design-point sets, times and access counts bitwise, cold and warm
+//      sim cache (each warm one-point call exactly one cache hit), with the
+//      telemetry ledger balanced;
 //   5. constraint ground truth — on random small spaces with finite
 //      power/bandwidth/NoC budgets, a serial full-factorial enumeration
 //      filtered Eq.-(12)-style by the constraint set is the oracle: the
@@ -72,8 +74,6 @@ struct OracleOptions {
   std::size_t aps_configs = 4;
   /// invariant registry: cases per property.
   std::size_t invariant_cases = 60;
-  /// ledger invariant: random DSE scenarios traced end to end.
-  std::size_t ledger_configs = 2;
   /// kernel equivalence: random (config, trace) cases compared bitwise
   /// against the per-cycle reference kernel. Also sizes the family's other
   /// parts: kernel_configs / 4 streaming cases and random DSE design sets,
@@ -88,7 +88,6 @@ struct OracleOptions {
   /// persistent cache: random scenarios run no-cache / cold / warm /
   /// warm-restart / corrupted-dir against a fresh disk tier each.
   std::size_t cache_sets = 3;
-  std::vector<std::size_t> thread_counts{1, 2, 8};
   /// Corpus directory for shrunk property counterexamples ("" = none).
   std::string corpus_dir;
 };

@@ -75,10 +75,10 @@ class DiskTier {
   DiskTier(const DiskTier&) = delete;
   DiskTier& operator=(const DiskTier&) = delete;
 
-  std::optional<SimCache::Value> find(const std::string& key) const;
-
-  /// Bulk probe mirroring SimCache::find_many: one index-lock acquisition
-  /// for the whole batch. out[i] is filled only for found keys.
+  /// The probe, called by SimCache::find_many for its memory misses: looks
+  /// up keys[i] for each i in `indices` under one index-lock acquisition,
+  /// fills out[i] for every key found (other slots are left untouched), and
+  /// adds the found/missed tallies.
   void find_many(const std::vector<std::string>& keys, const std::vector<std::size_t>& indices,
                  std::vector<std::optional<SimCache::Value>>& out,
                  std::uint64_t& found, std::uint64_t& missed) const;

@@ -1,11 +1,14 @@
 #pragma once
 
-// Memoized simulation results. simulate_design_time() is a pure function
-// of (simulator configuration, workload identity, seed, simulation
-// windows): overlapping APS neighborhoods, the full-DSE ground truth, and
-// repeated bench sweeps keep asking for the same designs, so the answers
-// are cached process-wide — and, with a disk tier attached, across
-// process restarts.
+// Memoized simulation results. A design's simulated time (what
+// simulate_design_times_batched returns per point) is a pure function of
+// (simulator configuration, workload identity, seed, simulation windows):
+// overlapping APS neighborhoods, the full-DSE ground truth, and repeated
+// bench sweeps keep asking for the same designs, so the answers are cached
+// process-wide — and, with a disk tier attached, across process restarts.
+// The API is bulk-only: find_many is the one probe and insert_many the one
+// insert, each taking every shard lock at most once per call; a single
+// key is a one-element call.
 //
 // Keys are canonical strings spelling out every field the result depends
 // on (built by the caller — see simulation_cache_key in aps/dse.cpp).
@@ -56,7 +59,7 @@ struct SimCacheStats {
 
 class SimCache {
  public:
-  /// What one simulate_design_time call produced.
+  /// One design's simulated outcome (the BatchSimOutcome fields).
   struct Value {
     double time = 0.0;
     std::uint64_t memory_accesses = 0;
@@ -70,32 +73,29 @@ class SimCache {
   SimCache(const SimCache&) = delete;
   SimCache& operator=(const SimCache&) = delete;
 
-  /// nullopt on miss (counts the miss); the hit/miss telemetry lives here
-  /// so callers stay one-liners. A memory miss probes the disk tier when
-  /// one is attached and promotes a disk hit into the memory tier.
-  std::optional<Value> find(const std::string& key);
-
-  /// Bulk probe for batched sweeps, mirroring insert_many: keys are
-  /// grouped by shard so each shard's mutex is taken once per call, and
-  /// residual misses probe the disk tier under one index lock. out[i]
-  /// corresponds to keys[i]; empty keys are never probed and return
-  /// nullopt without counting. Equivalent to find() per key in order.
-  /// `disk_hits`, when non-null, receives how many of this call's results
-  /// were served from the disk tier (exact per-call attribution, immune to
-  /// concurrent callers moving the global counters).
+  /// The probe. out[i] answers keys[i]: the cached value, or nullopt on a
+  /// miss. Keys are grouped by shard so each shard's mutex is taken once
+  /// per call; memory misses fall through to the disk tier (when one is
+  /// attached) under one index lock, and disk hits are promoted into the
+  /// memory tier. Every non-empty key counts as exactly one memory hit,
+  /// disk hit, or miss — the telemetry lives here so callers stay simple.
+  /// Empty keys (uncacheable designs) are never probed and return nullopt
+  /// without counting. `disk_hits`, when non-null, receives how many of
+  /// this call's results were served from the disk tier (exact per-call
+  /// attribution, immune to concurrent callers moving the global counters).
   std::vector<std::optional<Value>> find_many(const std::vector<std::string>& keys,
                                               std::uint64_t* disk_hits = nullptr);
 
-  void insert(const std::string& key, const Value& value);
-
-  /// Bulk insert for batched sweeps: groups the entries by shard so each
-  /// shard's mutex is taken once per call instead of once per entry.
-  /// Equivalent to insert() per pair in order.
+  /// The insert: groups the entries by shard so each shard's mutex is
+  /// taken once per call, evicting by second chance as shards fill. A key
+  /// already present is overwritten in place (a concurrent recompute
+  /// produced the same bits); only newly inserted keys are queued for the
+  /// disk tier.
   void insert_many(const std::vector<std::pair<std::string, Value>>& entries);
 
   /// Runtime switch, on by default; the oracles turn it off for their
-  /// cache-off reference runs. When disabled, find() always misses without
-  /// counting and insert() drops.
+  /// cache-off reference runs. When disabled, find_many() always misses
+  /// without counting and insert_many() drops.
   bool enabled() const noexcept;
   void set_enabled(bool on) noexcept;
 
@@ -120,7 +120,7 @@ class SimCache {
   void clear();
   SimCacheStats stats() const;
 
-  /// Process-wide instance used by simulate_design_time. On first use,
+  /// Process-wide instance used by simulate_design_times_batched. On first use,
   /// attaches a disk tier at $C2B_SIM_CACHE_DIR when that is set and
   /// non-empty.
   static SimCache& global();

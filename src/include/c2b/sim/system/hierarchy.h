@@ -136,11 +136,9 @@ class MemoryHierarchy {
   std::uint64_t l1_writebacks_ = 0;
   std::uint64_t l2_writebacks_ = 0;
 
-  // Telemetry-only tallies, published by flush_telemetry(). Demand L1
-  // hits/misses differ from the CacheArray probe counts under
-  // perfect_memory, which skips the probe.
-  std::uint64_t l1_hits_ = 0;
-  std::uint64_t l1_misses_ = 0;
+  // Telemetry-only tallies, published by flush_telemetry() (no other
+  // member counts evictions; L1 hits/misses derive from the L1 probe
+  // counts and apc_l1_).
   std::uint64_t l1_evictions_ = 0;
   std::uint64_t l2_evictions_ = 0;
   obs::LocalHistogram mshr_occupancy_{0.0, 64.0, 64};

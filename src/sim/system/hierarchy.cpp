@@ -89,7 +89,6 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   };
 
   if (config_.perfect_memory || l1_[core].probe(address, is_write)) {
-    ++l1_hits_;
     outcome.completion_cycle = lookup_done;
     outcome.level = ServiceLevel::kL1;
     if (!prefetched_pending_[core].empty() && prefetched_pending_[core].erase(line) > 0)
@@ -116,7 +115,6 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   }
 
   // ---- L1 miss: allocate/merge an MSHR ----
-  ++l1_misses_;
   const MshrFile::Grant grant = l1_mshr_[core].request(line, lookup_done);
   mshr_occupancy_.record(static_cast<double>(l1_mshr_[core].in_flight()));
   if (grant.merged && grant.merged_completion > lookup_done) {
@@ -258,10 +256,16 @@ void MemoryHierarchy::issue_prefetch(std::uint32_t core, std::uint64_t line,
 
 void MemoryHierarchy::flush_telemetry() const {
   if (!C2B_OBS_ACTIVE()) return;
-  // Zero tallies are skipped so the registry only names counters some run
-  // advanced.
-  if (l1_hits_ != 0) C2B_COUNTER_ADD("sim.l1.hit", l1_hits_);
-  if (l1_misses_ != 0) C2B_COUNTER_ADD("sim.l1.miss", l1_misses_);
+  // Demand L1 misses are the L1 probe misses (only the demand path
+  // probes), and every access() exit adds one apc_l1_ interval, so the
+  // rest are hits (all of them under perfect_memory, which skips the
+  // probe). Zero tallies are skipped so the registry only names counters
+  // some run advanced.
+  std::uint64_t l1_misses = 0;
+  for (const CacheArray& l1 : l1_) l1_misses += l1.probe_count() - l1.hit_count();
+  const std::uint64_t l1_hits = apc_l1_.accesses() - l1_misses;
+  if (l1_hits != 0) C2B_COUNTER_ADD("sim.l1.hit", l1_hits);
+  if (l1_misses != 0) C2B_COUNTER_ADD("sim.l1.miss", l1_misses);
   if (l1_evictions_ != 0) C2B_COUNTER_ADD("sim.l1.evictions", l1_evictions_);
   if (l2_accesses_ != l2_misses_) C2B_COUNTER_ADD("sim.l2.hit", l2_accesses_ - l2_misses_);
   if (l2_misses_ != 0) C2B_COUNTER_ADD("sim.l2.miss", l2_misses_);

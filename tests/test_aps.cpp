@@ -138,19 +138,24 @@ TEST(Dse, CacheSizesNeverBelowMinimumGeometry) {
   config.hierarchy.l2_geometry.validate();
 }
 
+/// One design's time through the shipped evaluator (a one-point batch).
+double simulate_one(const DseContext& context, const std::vector<double>& point) {
+  return simulate_design_times_batched(context, {point}).front().time;
+}
+
 TEST(Dse, SimulatedTimeIsPositiveAndDeterministic) {
   const DseContext context = tiny_context();
   const std::vector<double> point{1.0, 0.5, 1.0, 2.0, 2.0, 32.0};
-  const double t1 = simulate_design_time(context, point);
-  const double t2 = simulate_design_time(context, point);
+  const double t1 = simulate_one(context, point);
+  const double t2 = simulate_one(context, point);
   EXPECT_GT(t1, 0.0);
   EXPECT_DOUBLE_EQ(t1, t2);
 }
 
 TEST(Dse, BetterHardwareIsNotSlower) {
   const DseContext context = tiny_context();
-  const double weak = simulate_design_time(context, {1.0, 0.5, 1.0, 1.0, 2.0, 32.0});
-  const double strong = simulate_design_time(context, {4.0, 1.0, 2.0, 1.0, 4.0, 64.0});
+  const double weak = simulate_one(context, {1.0, 0.5, 1.0, 1.0, 2.0, 32.0});
+  const double strong = simulate_one(context, {4.0, 1.0, 2.0, 1.0, 4.0, 64.0});
   EXPECT_LT(strong, weak * 1.05);
 }
 

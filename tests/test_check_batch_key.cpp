@@ -1,5 +1,5 @@
 // Property: the batched-replay grouping key (trace_class_key) agrees with a
-// brute-force comparison of the record streams simulate_design_time would
+// brute-force comparison of the record streams a design's simulation would
 // consume. Equal keys MUST mean bit-identical streams — that is the safety
 // contract batching rests on. (The converse is allowed to be conservative:
 // two contexts may produce the same streams under different keys, e.g. when

@@ -52,7 +52,6 @@ TEST(CheckOracles, DeterminismHoldsOn100RandomConfigs) {
   options.seed = 42;
   options.dse_configs = 100;  // the acceptance floor: >= 100 random configs
   options.aps_configs = 3;
-  options.thread_counts = {1, 2, 8};
   const OracleReport report = run_determinism_oracle(options);
   EXPECT_TRUE(report.passed()) << joined(report.failures);
   // 100 configs x (3 thread counts + 1 warm-cache replay) + APS sweeps.

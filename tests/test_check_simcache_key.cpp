@@ -30,6 +30,12 @@ DseContext tiny_context() {
 
 const std::vector<double> kPoint{1.0, 0.5, 1.0, 1.0, 4.0, 128.0};
 
+/// One design's time through the shipped evaluator (a one-point batch),
+/// which probes and fills the global sim cache.
+double simulate_one(const DseContext& context, const std::vector<double>& point) {
+  return simulate_design_times_batched(context, {point}).front().time;
+}
+
 class SimCacheKeyTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -48,23 +54,23 @@ class SimCacheKeyTest : public ::testing::Test {
 
 TEST_F(SimCacheKeyTest, IdenticalContextReplays) {
   const DseContext context = tiny_context();
-  const double first = simulate_design_time(context, kPoint);
+  const double first = simulate_one(context, kPoint);
   EXPECT_EQ(hits(), 0u);
-  const double second = simulate_design_time(context, kPoint);
+  const double second = simulate_one(context, kPoint);
   EXPECT_EQ(hits(), 1u) << "identical context must hit the cache";
   EXPECT_EQ(first, second);
 }
 
 TEST_F(SimCacheKeyTest, UidOnlyChangeNeverAliases) {
   DseContext context = tiny_context();
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
   const std::uint64_t misses_before = misses();
 
   // Same generator, same everything — only the declared identity differs.
   // A uid is a promise of behavioral identity; a different uid must be a
   // different key even when the rest of the spec looks the same.
   context.workload.uid += "#mutant";
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
   EXPECT_EQ(hits(), 0u) << "uid-only change aliased into the cached entry";
   EXPECT_GT(misses(), misses_before);
 }
@@ -76,12 +82,12 @@ TEST_F(SimCacheKeyTest, SampledGValuesBackstopPreventsAliasing) {
   DseContext context = tiny_context();
   context.workload.g =
       ScalingFunction::custom([](double n) { return n; }, "custom-g", true);
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
 
   DseContext other = tiny_context();
   other.workload.g =
       ScalingFunction::custom([](double n) { return 2.0 * n - 1.0; }, "custom-g", true);
-  (void)simulate_design_time(other, kPoint);
+  (void)simulate_one(other, kPoint);
   EXPECT_EQ(hits(), 0u) << "numerically different g aliased under a shared description";
 }
 
@@ -91,40 +97,40 @@ TEST_F(SimCacheKeyTest, MemoryScaleDifferenceNeverAliases) {
   DseContext context = tiny_context();
   context.workload.g =
       ScalingFunction::custom([](double n) { return n; }, "custom-g", true);
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
 
   DseContext other = tiny_context();
   other.workload.g =
       ScalingFunction::custom([](double n) { return n; }, "custom-g", false);
-  (void)simulate_design_time(other, kPoint);
+  (void)simulate_one(other, kPoint);
   EXPECT_EQ(hits(), 0u) << "memory_scale difference aliased";
 }
 
 TEST_F(SimCacheKeyTest, SeedAndWindowChangesNeverAlias) {
   DseContext context = tiny_context();
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
 
   DseContext reseeded = tiny_context();
   reseeded.seed += 1;
-  (void)simulate_design_time(reseeded, kPoint);
+  (void)simulate_one(reseeded, kPoint);
   EXPECT_EQ(hits(), 0u);
 
   DseContext longer = tiny_context();
   longer.instructions0 += 1;
-  (void)simulate_design_time(longer, kPoint);
+  (void)simulate_one(longer, kPoint);
   EXPECT_EQ(hits(), 0u);
 
   DseContext capped = tiny_context();
   capped.per_core_cap -= 1;
-  (void)simulate_design_time(capped, kPoint);
+  (void)simulate_one(capped, kPoint);
   EXPECT_EQ(hits(), 0u);
 }
 
 TEST_F(SimCacheKeyTest, EmptyUidDisablesCaching) {
   DseContext context = tiny_context();
   context.workload.uid.clear();
-  (void)simulate_design_time(context, kPoint);
-  (void)simulate_design_time(context, kPoint);
+  (void)simulate_one(context, kPoint);
+  (void)simulate_one(context, kPoint);
   EXPECT_EQ(hits(), 0u) << "hand-rolled specs without a uid must not be cached";
 }
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,15 @@ SimCache::Value value_for(std::size_t i) {
 }
 
 std::string key_for(std::size_t i) { return "design-key-" + std::to_string(i); }
+
+/// Single-key lookup through the tier's only probe, find_many.
+std::optional<SimCache::Value> probe(const DiskTier& tier, const std::string& key) {
+  std::vector<std::optional<SimCache::Value>> out(1);
+  std::uint64_t found = 0;
+  std::uint64_t missed = 0;
+  tier.find_many({key}, {0}, out, found, missed);
+  return out.front();
+}
 
 std::vector<fs::path> segment_files(const fs::path& dir) {
   std::vector<fs::path> out;
@@ -107,12 +117,12 @@ TEST_F(DiskTierTest, RoundTripAcrossReopen) {
   EXPECT_EQ(tier->entries(), kEntries);
   EXPECT_EQ(tier->stats().drops, 0u);
   for (std::size_t i = 0; i < kEntries; ++i) {
-    const auto hit = tier->find(key_for(i));
+    const auto hit = probe(*tier, key_for(i));
     ASSERT_TRUE(hit.has_value()) << key_for(i);
     EXPECT_EQ(hit->time, value_for(i).time);
     EXPECT_EQ(hit->memory_accesses, value_for(i).memory_accesses);
   }
-  EXPECT_FALSE(tier->find("never-inserted").has_value());
+  EXPECT_FALSE(probe(*tier, "never-inserted").has_value());
 }
 
 TEST_F(DiskTierTest, ReEnqueueOfKnownKeyDoesNotGrowSegments) {
@@ -164,7 +174,7 @@ TEST_F(DiskTierTest, TruncatedTailDroppedRestSurvives) {
   // Every record that did survive must carry its exact original value.
   std::size_t recovered = 0;
   for (std::size_t i = 0; i < 64; ++i) {
-    const auto hit = tier->find(key_for(i));
+    const auto hit = probe(*tier, key_for(i));
     if (!hit.has_value()) continue;
     ++recovered;
     EXPECT_EQ(hit->time, value_for(i).time);
@@ -198,7 +208,7 @@ TEST_F(DiskTierTest, BitFlipFuzzNeverLoadsAWrongValue) {
     ASSERT_NE(tier, nullptr) << "flip at byte " << pos;
     std::size_t wrong = 0;
     for (std::size_t i = 0; i < 16; ++i) {
-      const auto hit = tier->find(key_for(i));
+      const auto hit = probe(*tier, key_for(i));
       if (!hit.has_value()) continue;
       if (hit->time != value_for(i).time ||
           hit->memory_accesses != value_for(i).memory_accesses)
@@ -222,8 +232,8 @@ TEST_F(DiskTierTest, StaleSchemaRecordSkippedWithCountedDrop) {
   auto tier = DiskTier::open(dir());
   ASSERT_NE(tier, nullptr);
   EXPECT_EQ(tier->stats().drops, 1u);
-  EXPECT_FALSE(tier->find("stale-key").has_value());
-  const auto hit = tier->find("current-key");
+  EXPECT_FALSE(probe(*tier, "stale-key").has_value());
+  const auto hit = probe(*tier, "current-key");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->time, 2.5);
   EXPECT_EQ(hit->memory_accesses, 9u);
@@ -238,8 +248,8 @@ TEST_F(DiskTierTest, GarbageBetweenRecordsResyncsAtNextMagic) {
 
   auto tier = DiskTier::open(dir());
   ASSERT_NE(tier, nullptr);
-  EXPECT_TRUE(tier->find("first").has_value());
-  EXPECT_TRUE(tier->find("second").has_value());
+  EXPECT_TRUE(probe(*tier, "first").has_value());
+  EXPECT_TRUE(probe(*tier, "second").has_value());
   EXPECT_GE(tier->stats().drops, 1u);
 }
 
@@ -253,7 +263,7 @@ TEST_F(DiskTierTest, ZeroQueueLimitDropsAppendsButServesFromRam) {
   // serves the values for the rest of this run.
   EXPECT_EQ(tier->stats().drops, 10u);
   EXPECT_EQ(tier->stats().appended, 0u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(tier->find(key_for(i)).has_value());
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_TRUE(probe(*tier, key_for(i)).has_value());
   tier.reset();
 
   auto reopened = DiskTier::open(dir());
@@ -327,13 +337,13 @@ TEST_F(DiskTierTest, KillMidFlushThenRecoverServesOnlyExactValues) {
   ASSERT_NE(tier, nullptr);
   // The flushed tranche must be fully recovered...
   for (std::size_t i = 0; i < 100; ++i) {
-    const auto hit = tier->find(key_for(i));
+    const auto hit = probe(*tier, key_for(i));
     ASSERT_TRUE(hit.has_value()) << key_for(i);
     EXPECT_EQ(hit->time, value_for(i).time);
   }
   // ...and whatever else survived must be value-exact.
   for (std::size_t i = 100; i < 100'000; ++i) {
-    const auto hit = tier->find(key_for(i));
+    const auto hit = probe(*tier, key_for(i));
     if (!hit.has_value()) continue;
     EXPECT_EQ(hit->time, value_for(i).time) << key_for(i);
     EXPECT_EQ(hit->memory_accesses, value_for(i).memory_accesses) << key_for(i);

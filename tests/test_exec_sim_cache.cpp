@@ -16,25 +16,35 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Single-key probe and insert, as one-element calls to the cache's only
+// probe (find_many) and insert (insert_many).
+std::optional<SimCache::Value> find_one(SimCache& cache, const std::string& key) {
+  return cache.find_many({key}).front();
+}
+
+void insert_one(SimCache& cache, const std::string& key, const SimCache::Value& value) {
+  cache.insert_many({{key, value}});
+}
+
 TEST(SimCache, FindAfterInsertReturnsExactValue) {
   SimCache cache(64);
-  EXPECT_FALSE(cache.find("k1").has_value());
-  cache.insert("k1", {3.141592653589793, 42});
-  const auto hit = cache.find("k1");
+  EXPECT_FALSE(find_one(cache, "k1").has_value());
+  insert_one(cache, "k1", {3.141592653589793, 42});
+  const auto hit = find_one(cache, "k1");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->time, 3.141592653589793);
   EXPECT_EQ(hit->memory_accesses, 42u);
   // Different key, even a near-miss, is a miss: hits are exact-string only.
-  EXPECT_FALSE(cache.find("k1 ").has_value());
+  EXPECT_FALSE(find_one(cache, "k1 ").has_value());
 }
 
 TEST(SimCache, StatsCountHitsAndMisses) {
   SimCache cache(64);
-  (void)cache.find("a");   // miss
-  cache.insert("a", {1.0, 1});
-  (void)cache.find("a");   // hit
-  (void)cache.find("a");   // hit
-  (void)cache.find("b");   // miss
+  (void)find_one(cache, "a");   // miss
+  insert_one(cache, "a", {1.0, 1});
+  (void)find_one(cache, "a");   // hit
+  (void)find_one(cache, "a");   // hit
+  (void)find_one(cache, "b");   // miss
   const SimCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
@@ -48,7 +58,7 @@ TEST(SimCache, EvictsOldestWhenFull) {
   // must evict the first.
   SimCache cache(16);
   for (int i = 0; i < 64; ++i)
-    cache.insert("key" + std::to_string(i), {static_cast<double>(i), 0});
+    insert_one(cache, "key" + std::to_string(i), {static_cast<double>(i), 0});
   const SimCacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 16u);
@@ -56,25 +66,25 @@ TEST(SimCache, EvictsOldestWhenFull) {
 
 TEST(SimCache, ClearDropsEntriesAndResetsStats) {
   SimCache cache(64);
-  cache.insert("x", {1.0, 1});
-  (void)cache.find("x");
+  insert_one(cache, "x", {1.0, 1});
+  (void)find_one(cache, "x");
   cache.clear();
   const SimCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_FALSE(cache.find("x").has_value());
+  EXPECT_FALSE(find_one(cache, "x").has_value());
 }
 
 TEST(SimCache, DisabledCacheNeverHits) {
   SimCache cache(64);
   cache.set_enabled(false);
   EXPECT_FALSE(cache.enabled());
-  cache.insert("x", {1.0, 1});
-  EXPECT_FALSE(cache.find("x").has_value());
+  insert_one(cache, "x", {1.0, 1});
+  EXPECT_FALSE(find_one(cache, "x").has_value());
   cache.set_enabled(true);
-  cache.insert("x", {1.0, 1});
-  EXPECT_TRUE(cache.find("x").has_value());
+  insert_one(cache, "x", {1.0, 1});
+  EXPECT_TRUE(find_one(cache, "x").has_value());
 }
 
 TEST(SimCache, InsertDoesNotOverwriteConcurrentRecompute) {
@@ -82,9 +92,9 @@ TEST(SimCache, InsertDoesNotOverwriteConcurrentRecompute) {
   // whichever lands second must leave the first intact (values are equal by
   // construction, so either is fine — we assert the stored value survives).
   SimCache cache(64);
-  cache.insert("k", {2.5, 7});
-  cache.insert("k", {2.5, 7});
-  const auto hit = cache.find("k");
+  insert_one(cache, "k", {2.5, 7});
+  insert_one(cache, "k", {2.5, 7});
+  const auto hit = find_one(cache, "k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->time, 2.5);
   EXPECT_EQ(hit->memory_accesses, 7u);
@@ -102,8 +112,8 @@ TEST(SimCache, ParallelInsertFindSmoke) {
         // false positive on the inlined concatenation.
         std::string key = "k";
         key += std::to_string(i % 50);
-        cache.insert(key, {static_cast<double>(i % 50), static_cast<std::uint64_t>(i % 50)});
-        const auto hit = cache.find(key);
+        insert_one(cache, key, {static_cast<double>(i % 50), static_cast<std::uint64_t>(i % 50)});
+        const auto hit = find_one(cache, key);
         if (hit) {
           // Value must always be internally consistent with its key.
           EXPECT_EQ(hit->time, static_cast<double>(hit->memory_accesses));
@@ -128,14 +138,14 @@ TEST(SimCache, SecondChanceKeepsHotKeyThroughFullEvictionCycles) {
   // the clock hand reaches it — it must survive a filler stream an order
   // of magnitude past capacity, while the untouched fillers churn.
   SimCache cache(64);
-  cache.insert("hot", {123.5, 9});
+  insert_one(cache, "hot", {123.5, 9});
   for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(cache.find("hot").has_value()) << "evicted after filler " << i;
+    ASSERT_TRUE(find_one(cache, "hot").has_value()) << "evicted after filler " << i;
     std::string filler = "filler";
     filler += std::to_string(i);
-    cache.insert(filler, {static_cast<double>(i), 0});
+    insert_one(cache, filler, {static_cast<double>(i), 0});
   }
-  const auto hit = cache.find("hot");
+  const auto hit = find_one(cache, "hot");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->time, 123.5);
   EXPECT_EQ(hit->memory_accesses, 9u);
@@ -152,29 +162,26 @@ TEST(SimCache, EvictionAccountingIsExact) {
   for (int i = 0; i < kInserts; ++i) {
     std::string key = "key";
     key += std::to_string(i);
-    cache.insert(key, {static_cast<double>(i), 0});
+    insert_one(cache, key, {static_cast<double>(i), 0});
   }
   const SimCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries + stats.evictions, static_cast<std::uint64_t>(kInserts));
   EXPECT_LE(stats.entries, 16u);
 }
 
-TEST(SimCache, FindManyMatchesPerKeyFindAndSkipsEmptyKeys) {
+TEST(SimCache, FindManyServesSeededValuesAndSkipsEmptyKeys) {
   const std::vector<std::pair<std::string, SimCache::Value>> seed = {
       {"alpha", {1.0, 1}}, {"beta", {2.0, 2}}, {"gamma", {3.0, 3}}};
   const std::vector<std::string> probes = {"alpha", "", "absent", "gamma", "beta",
                                            "alpha", ""};
+  const std::vector<std::optional<SimCache::Value>> expected = {
+      SimCache::Value{1.0, 1}, std::nullopt, std::nullopt, SimCache::Value{3.0, 3},
+      SimCache::Value{2.0, 2}, SimCache::Value{1.0, 1}, std::nullopt};
 
-  SimCache per_key(64);
-  for (const auto& [key, value] : seed) per_key.insert(key, value);
-  std::vector<std::optional<SimCache::Value>> expected;
-  for (const auto& key : probes)
-    expected.push_back(key.empty() ? std::nullopt : per_key.find(key));
-
-  SimCache bulk(64);
-  bulk.insert_many(seed);
+  SimCache cache(64);
+  cache.insert_many(seed);
   std::uint64_t disk_hits = 123;  // must be zeroed even without a disk tier
-  const auto got = bulk.find_many(probes, &disk_hits);
+  const auto got = cache.find_many(probes, &disk_hits);
 
   ASSERT_EQ(got.size(), probes.size());
   for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -185,12 +192,10 @@ TEST(SimCache, FindManyMatchesPerKeyFindAndSkipsEmptyKeys) {
     }
   }
   EXPECT_EQ(disk_hits, 0u);
-  // Same telemetry as the per-key path: 4 hits, 1 miss — the two empty
-  // probes are never probed and never counted.
-  EXPECT_EQ(bulk.stats().hits, per_key.stats().hits);
-  EXPECT_EQ(bulk.stats().misses, per_key.stats().misses);
-  EXPECT_EQ(bulk.stats().hits, 4u);
-  EXPECT_EQ(bulk.stats().misses, 1u);
+  // 4 hits, 1 miss — the two empty probes are never probed and never
+  // counted.
+  EXPECT_EQ(cache.stats().hits, 4u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 class SimCacheDiskTest : public ::testing::Test {
@@ -211,11 +216,11 @@ TEST_F(SimCacheDiskTest, DiskHitIsPromotedIntoMemoryTier) {
   SimCache cache(64);
   ASSERT_TRUE(cache.attach_disk_tier(dir()));
   ASSERT_TRUE(cache.has_disk_tier());
-  cache.insert("design", {7.25, 11});
+  insert_one(cache, "design", {7.25, 11});
   cache.flush_disk();
   cache.clear();  // memory tier gone, disk survives
 
-  const auto first = cache.find("design");
+  const auto first = find_one(cache, "design");
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->time, 7.25);
   SimCacheStats stats = cache.stats();
@@ -223,7 +228,7 @@ TEST_F(SimCacheDiskTest, DiskHitIsPromotedIntoMemoryTier) {
   EXPECT_EQ(stats.disk_hits, 1u);  // ...served from disk
   EXPECT_EQ(stats.misses, 0u);     // a disk hit is not a miss
 
-  const auto second = cache.find("design");
+  const auto second = find_one(cache, "design");
   ASSERT_TRUE(second.has_value());
   stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);  // promotion made the second probe a memory hit
@@ -237,7 +242,7 @@ TEST_F(SimCacheDiskTest, WarmRestartReattachServesFromDisk) {
   for (int i = 0; i < 20; ++i) {
     std::string key = "point";
     key += std::to_string(i);
-    cache.insert(key, {static_cast<double>(i) + 0.5, static_cast<std::uint64_t>(i)});
+    insert_one(cache, key, {static_cast<double>(i) + 0.5, static_cast<std::uint64_t>(i)});
   }
   cache.flush_disk();
 
@@ -250,7 +255,7 @@ TEST_F(SimCacheDiskTest, WarmRestartReattachServesFromDisk) {
   for (int i = 0; i < 20; ++i) {
     std::string key = "point";
     key += std::to_string(i);
-    const auto hit = cache.find(key);
+    const auto hit = find_one(cache, key);
     ASSERT_TRUE(hit.has_value()) << key;
     EXPECT_EQ(hit->time, static_cast<double>(i) + 0.5);
   }
@@ -261,20 +266,20 @@ TEST_F(SimCacheDiskTest, WarmRestartReattachServesFromDisk) {
 TEST_F(SimCacheDiskTest, ClearKeepsDiskTierContents) {
   SimCache cache(64);
   ASSERT_TRUE(cache.attach_disk_tier(dir()));
-  cache.insert("kept", {1.5, 3});
+  insert_one(cache, "kept", {1.5, 3});
   cache.flush_disk();
   cache.clear();
   EXPECT_TRUE(cache.has_disk_tier());
   EXPECT_GE(cache.stats().disk_entries, 1u);
-  EXPECT_TRUE(cache.find("kept").has_value());
+  EXPECT_TRUE(find_one(cache, "kept").has_value());
   cache.detach_disk_tier();
 }
 
 TEST_F(SimCacheDiskTest, FindManyAttributesDiskHitsPerCall) {
   SimCache cache(64);
   ASSERT_TRUE(cache.attach_disk_tier(dir()));
-  cache.insert("a", {1.0, 1});
-  cache.insert("b", {2.0, 2});
+  insert_one(cache, "a", {1.0, 1});
+  insert_one(cache, "b", {2.0, 2});
   cache.flush_disk();
   cache.clear();
 
@@ -300,8 +305,8 @@ TEST_F(SimCacheDiskTest, AttachFailureLeavesCacheWorkingWithoutTier) {
   SimCache cache(64);
   EXPECT_FALSE(cache.attach_disk_tier(dir()));
   EXPECT_FALSE(cache.has_disk_tier());
-  cache.insert("still-works", {4.0, 4});
-  EXPECT_TRUE(cache.find("still-works").has_value());
+  insert_one(cache, "still-works", {4.0, 4});
+  EXPECT_TRUE(find_one(cache, "still-works").has_value());
   EXPECT_EQ(cache.stats().disk_entries, 0u);
 }
 

@@ -1,7 +1,7 @@
 // Batch-equivalence stress tests (ctest label: perf, excluded from the
 // quick suite). The batched replay engine — shared chunk store, lockstep
 // replay kernel, DSE-level equivalence-class scheduling — must be
-// bitwise indistinguishable from per-point simulation at every thread
+// bitwise indistinguishable from the per-cycle reference at every thread
 // count, with the chunk store's resident window staying O(chunk) even on
 // wide batches over long streams.
 
@@ -35,8 +35,8 @@ struct ExecDefaults {
   }
 };
 
-// The oracle harness's kernel family — whose DSE part checks batched and
-// per-point design times against simulate_design_time_reference — at a
+// The oracle harness's kernel family — whose DSE part checks one-point and
+// whole-set batched design times against simulate_design_time_reference — at a
 // different seed and a larger set count than the `c2b check` default, so
 // the perf suite explores fresh design-point sets.
 TEST(BatchEquivalence, OracleStressOnRandomDesignSets) {
@@ -50,10 +50,10 @@ TEST(BatchEquivalence, OracleStressOnRandomDesignSets) {
 }
 
 // A wide batch (more members than kMaxBatchMembers, forcing the unit split)
-// over one random scenario: batched results must match per-point
-// simulate_design_time bitwise at thread counts 1 and 8, and repeating the
-// sweep must reproduce it bitwise.
-TEST(BatchEquivalence, WideBatchMatchesPerPointAtEveryThreadCount) {
+// over one random scenario: batched results must match
+// simulate_design_time_reference bitwise at thread counts 1 and 8, and
+// repeating the sweep must reproduce it bitwise.
+TEST(BatchEquivalence, WideBatchMatchesReferenceAtEveryThreadCount) {
   ExecDefaults restore;
   exec::SimCache::global().set_enabled(false);
   Rng rng(314159);
@@ -61,20 +61,16 @@ TEST(BatchEquivalence, WideBatchMatchesPerPointAtEveryThreadCount) {
   const GridSpace space = make_design_space(scenario.axes);
 
   std::vector<std::vector<double>> points;
-  std::vector<double> reference_times;
-  std::vector<std::uint64_t> reference_accesses;
   space.for_each([&](std::size_t, const std::vector<double>& point) {
     if (!design_feasible(scenario.context, point)) return;
     points.push_back(point);
   });
   ASSERT_FALSE(points.empty());
 
-  exec::set_thread_count(1);
-  for (const std::vector<double>& point : points) {
-    std::uint64_t accesses = 0;
-    reference_times.push_back(simulate_design_time(scenario.context, point, &accesses));
-    reference_accesses.push_back(accesses);
-  }
+  std::vector<BatchSimOutcome> reference;
+  reference.reserve(points.size());
+  for (const std::vector<double>& point : points)
+    reference.push_back(simulate_design_time_reference(scenario.context, point));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     exec::set_thread_count(threads);
@@ -87,9 +83,9 @@ TEST(BatchEquivalence, WideBatchMatchesPerPointAtEveryThreadCount) {
       EXPECT_EQ(stats.cache_hits, 0u);
       for (std::size_t i = 0; i < points.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(outcomes[i].time),
-                  std::bit_cast<std::uint64_t>(reference_times[i]))
+                  std::bit_cast<std::uint64_t>(reference[i].time))
             << "threads " << threads << " repeat " << repeat << " point " << i;
-        ASSERT_EQ(outcomes[i].memory_accesses, reference_accesses[i]);
+        ASSERT_EQ(outcomes[i].memory_accesses, reference[i].memory_accesses);
       }
     }
   }
