@@ -11,8 +11,11 @@
 // (classes_simulated_pct creeps toward 100) trips CI.
 //
 // A second scenario A/Bs Mlp::predict against Mlp::predict_batch on a
-// surrogate-sized query stream — the batch path reuses one scratch buffer
-// across the whole batch and must not regress against per-call prediction.
+// surrogate-sized query stream. Both run the same forward kernel; the
+// batch path maps the queries over the global pool (one activation scratch
+// per chunk, each prediction written to its own slot) while the per-call
+// loop runs on one thread, so the ratio scales with the pool width (~1x at
+// one thread). It must not regress against per-call prediction.
 
 #include <chrono>
 #include <cmath>

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "c2b/common/assert.h"
+#include "c2b/exec/pool.h"
 
 namespace c2b {
 
@@ -23,16 +24,9 @@ void FeatureScaler::fit(const std::vector<Vector>& samples) {
   }
 }
 
-Vector FeatureScaler::transform(const Vector& x) const {
-  Vector out;
-  transform_into(x, out);
-  return out;
-}
-
-void FeatureScaler::transform_into(const Vector& x, Vector& out) const {
+void FeatureScaler::transform_into(const Vector& x, double* out) const {
   C2B_REQUIRE(fitted(), "scaler not fitted");
   C2B_REQUIRE(x.size() == lo_.size(), "dimension mismatch");
-  out.resize(x.size());
   for (std::size_t d = 0; d < x.size(); ++d) {
     const double span = hi_[d] - lo_[d];
     out[d] = span <= 0.0 ? 0.0 : 2.0 * (x[d] - lo_[d]) / span - 1.0;
@@ -53,6 +47,13 @@ Mlp::Mlp(const MlpConfig& config) : config_(config), rng_(config.seed) {
     weights_.push_back(std::move(w));
     velocity_.emplace_back(fan_out, fan_in + 1, 0.0);
   }
+  acts_.assign(std::accumulate(config_.layer_sizes.begin() + 1, config_.layer_sizes.end(),
+                               std::size_t{0}),
+               0.0);
+  const std::size_t widest =
+      *std::max_element(config_.layer_sizes.begin(), config_.layer_sizes.end());
+  delta_.assign(widest, 0.0);
+  next_delta_.assign(widest, 0.0);
 }
 
 double Mlp::activate(double x) const {
@@ -79,83 +80,102 @@ double Mlp::activate_derivative(double activated) const {
   return 1.0;
 }
 
-Vector Mlp::forward(const Vector& scaled_input, std::vector<Vector>* layer_outputs) const {
-  Vector current = scaled_input;
-  if (layer_outputs) layer_outputs->push_back(current);
+double Mlp::forward(const double* scaled_input, double* acts) const {
+  const double* in = scaled_input;
+  double* out = acts;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     const Matrix& w = weights_[l];
-    Vector next(w.rows(), 0.0);
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      double sum = w(r, w.cols() - 1);  // bias
-      for (std::size_t c = 0; c + 1 < w.cols(); ++c) sum += w(r, c) * current[c];
+    const std::size_t fan_in = w.cols() - 1;
+    const bool output_layer = l + 1 == weights_.size();
+    const double* row = w.data();
+    for (std::size_t r = 0; r < w.rows(); ++r, row += w.cols()) {
+      double sum = row[fan_in];  // bias
+      for (std::size_t c = 0; c < fan_in; ++c) sum += row[c] * in[c];
       // Hidden layers use the configured activation; the output is linear.
-      next[r] = (l + 1 == weights_.size()) ? sum : activate(sum);
+      out[r] = output_layer ? sum : activate(sum);
     }
-    current = std::move(next);
-    if (layer_outputs) layer_outputs->push_back(current);
+    in = out;
+    out += w.rows();
   }
-  return current;
+  return in[0];
 }
 
-void Mlp::backward(const Vector& scaled_input, const std::vector<Vector>& layer_outputs,
-                   double error) {
-  (void)scaled_input;
-  // delta for the linear output layer is just the error.
-  Vector delta{error};
+void Mlp::sgd_step(const double* scaled_input, double error) {
+  const double lr = config_.learning_rate;
+  const double momentum = config_.momentum;
+  const double l2 = config_.l2_penalty;
+  delta_[0] = error;  // the output layer is linear: its delta is the error
+  // Walk the activations back from the output layer; layer l's input is
+  // the stretch of acts_ just before its own outputs.
+  const double* outputs = acts_.data() + acts_.size();
   for (std::size_t l = weights_.size(); l-- > 0;) {
-    const Vector& input = layer_outputs[l];
+    outputs -= weights_[l].rows();
+    const double* in = l == 0 ? scaled_input : outputs - weights_[l - 1].rows();
     Matrix& w = weights_[l];
     Matrix& v = velocity_[l];
-
-    // Pre-compute delta for the layer below before mutating weights.
-    Vector next_delta;
-    if (l > 0) {
-      next_delta.assign(input.size(), 0.0);
-      for (std::size_t c = 0; c < input.size(); ++c) {
-        double sum = 0.0;
-        for (std::size_t r = 0; r < w.rows(); ++r) sum += w(r, c) * delta[r];
-        next_delta[c] = sum * activate_derivative(input[c]);
+    const std::size_t fan_in = w.cols() - 1;
+    // The layer below's delta sums over rows in ascending order, reading
+    // each weight before its own update overwrites it.
+    std::fill_n(next_delta_.begin(), fan_in, 0.0);
+    double* w_row = w.data();
+    double* v_row = v.data();
+    for (std::size_t r = 0; r < w.rows(); ++r, w_row += w.cols(), v_row += v.cols()) {
+      const double d = delta_[r];
+      for (std::size_t c = 0; c < fan_in; ++c) {
+        next_delta_[c] += w_row[c] * d;
+        const double grad = d * in[c] + l2 * w_row[c];
+        v_row[c] = momentum * v_row[c] - lr * grad;
+        w_row[c] += v_row[c];
       }
+      const double grad = d + l2 * w_row[fan_in];  // bias input is 1
+      v_row[fan_in] = momentum * v_row[fan_in] - lr * grad;
+      w_row[fan_in] += v_row[fan_in];
     }
-
-    const double lr = config_.learning_rate;
-    for (std::size_t r = 0; r < w.rows(); ++r) {
-      for (std::size_t c = 0; c < w.cols(); ++c) {
-        const double x = (c + 1 == w.cols()) ? 1.0 : input[c];
-        const double grad = delta[r] * x + config_.l2_penalty * w(r, c);
-        v(r, c) = config_.momentum * v(r, c) - lr * grad;
-        w(r, c) += v(r, c);
-      }
-    }
-    delta = std::move(next_delta);
+    if (l > 0)
+      for (std::size_t c = 0; c < fan_in; ++c) next_delta_[c] *= activate_derivative(in[c]);
+    std::swap(delta_, next_delta_);
   }
+}
+
+void Mlp::cache_training_set(const std::vector<Vector>& inputs,
+                             const std::vector<double>& targets) {
+  const std::size_t dim = config_.layer_sizes[0];
+  scaled_x_.resize(inputs.size() * dim);
+  norm_y_.resize(targets.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    scaler_.transform_into(inputs[i], scaled_x_.data() + i * dim);
+    norm_y_[i] = (targets[i] - target_mean_) / target_scale_;
+  }
+}
+
+double Mlp::run_epoch() {
+  order_.resize(norm_y_.size());
+  std::iota(order_.begin(), order_.end(), 0u);
+  for (std::size_t i = order_.size() - 1; i > 0; --i)
+    std::swap(order_[i], order_[rng_.uniform_below(i + 1)]);
+
+  const std::size_t dim = config_.layer_sizes[0];
+  double squared_error = 0.0;
+  for (const std::size_t idx : order_) {
+    const double* x = scaled_x_.data() + idx * dim;
+    const double error = forward(x, acts_.data()) - norm_y_[idx];
+    squared_error += error * error * target_scale_ * target_scale_;
+    sgd_step(x, error);
+  }
+  return squared_error / static_cast<double>(norm_y_.size());
 }
 
 double Mlp::train_epoch(const std::vector<Vector>& inputs, const std::vector<double>& targets) {
   C2B_REQUIRE(inputs.size() == targets.size() && !inputs.empty(), "bad training batch");
   C2B_REQUIRE(scaler_.fitted(), "call fit() (which fits the scaler) before train_epoch()");
-
-  std::vector<std::size_t> order(inputs.size());
-  std::iota(order.begin(), order.end(), 0u);
-  for (std::size_t i = order.size() - 1; i > 0; --i)
-    std::swap(order[i], order[rng_.uniform_below(i + 1)]);
-
-  double squared_error = 0.0;
-  std::vector<Vector> layer_outputs;
-  for (const std::size_t idx : order) {
-    const Vector x = scaler_.transform(inputs[idx]);
-    const double target_norm = (targets[idx] - target_mean_) / target_scale_;
-    layer_outputs.clear();
-    const Vector out = forward(x, &layer_outputs);
-    const double error = out[0] - target_norm;
-    squared_error += error * error * target_scale_ * target_scale_;
-    backward(x, layer_outputs, error);
-  }
-  return squared_error / static_cast<double>(inputs.size());
+  cache_training_set(inputs, targets);
+  return run_epoch();
 }
 
 void Mlp::fit(const std::vector<Vector>& inputs, const std::vector<double>& targets, int epochs) {
   C2B_REQUIRE(inputs.size() == targets.size() && !inputs.empty(), "bad training set");
+  C2B_REQUIRE(inputs[0].size() == config_.layer_sizes[0],
+              "input dimension differs from the input layer");
   scaler_.fit(inputs);
   // Normalize targets to zero mean / unit scale for stable gradients.
   double mean = 0.0;
@@ -165,11 +185,12 @@ void Mlp::fit(const std::vector<Vector>& inputs, const std::vector<double>& targ
   for (const double t : targets) spread = std::max(spread, std::fabs(t - mean));
   target_mean_ = mean;
   target_scale_ = spread > 0.0 ? spread : 1.0;
+  cache_training_set(inputs, targets);
 
   double best = std::numeric_limits<double>::infinity();
   int stale = 0;
   for (int e = 0; e < epochs; ++e) {
-    const double mse = train_epoch(inputs, targets);
+    const double mse = run_epoch();
     if (mse < best * 0.999) {
       best = mse;
       stale = 0;
@@ -179,46 +200,37 @@ void Mlp::fit(const std::vector<Vector>& inputs, const std::vector<double>& targ
   }
 }
 
+double Mlp::predict_into(const Vector& input, double* scratch) const {
+  scaler_.transform_into(input, scratch);
+  return forward(scratch, scratch + config_.layer_sizes[0]) * target_scale_ + target_mean_;
+}
+
 double Mlp::predict(const Vector& input) const {
-  const Vector out = forward(scaler_.transform(input), nullptr);
-  return out[0] * target_scale_ + target_mean_;
+  std::vector<double> scratch(config_.layer_sizes[0] + acts_.size());
+  return predict_into(input, scratch.data());
 }
 
 std::vector<double> Mlp::predict_batch(const std::vector<Vector>& inputs) const {
-  // Same arithmetic in the same order as forward(), but the scaled input
-  // and the two layer buffers are allocated once and reused across the
-  // batch (forward() allocates a fresh vector per layer per query).
   std::vector<double> out(inputs.size());
-  std::size_t widest = 0;
-  for (const std::size_t width : config_.layer_sizes) widest = std::max(widest, width);
-  Vector scaled;
-  Vector current(widest, 0.0);
-  Vector next(widest, 0.0);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    scaler_.transform_into(inputs[i], scaled);
-    std::copy(scaled.begin(), scaled.end(), current.begin());
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-      const Matrix& w = weights_[l];
-      for (std::size_t r = 0; r < w.rows(); ++r) {
-        double sum = w(r, w.cols() - 1);  // bias
-        for (std::size_t c = 0; c + 1 < w.cols(); ++c) sum += w(r, c) * current[c];
-        next[r] = (l + 1 == weights_.size()) ? sum : activate(sum);
-      }
-      std::swap(current, next);
-    }
-    out[i] = current[0] * target_scale_ + target_mean_;
-  }
+  exec::ThreadPool::global().parallel_for(
+      0, inputs.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> scratch(config_.layer_sizes[0] + acts_.size());
+        for (std::size_t i = lo; i < hi; ++i) out[i] = predict_into(inputs[i], scratch.data());
+      },
+      kPredictGrain);
   return out;
 }
 
 double Mlp::mean_relative_error(const std::vector<Vector>& inputs,
                                 const std::vector<double>& targets) const {
   C2B_REQUIRE(inputs.size() == targets.size() && !inputs.empty(), "bad evaluation set");
+  const std::vector<double> predicted = predict_batch(inputs);
   double sum = 0.0;
   std::size_t used = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (std::fabs(targets[i]) < kMreEpsilon) continue;  // see kMreEpsilon's contract
-    sum += std::fabs(predict(inputs[i]) - targets[i]) / std::fabs(targets[i]);
+    sum += std::fabs(predicted[i] - targets[i]) / std::fabs(targets[i]);
     ++used;
   }
   return used == 0 ? 0.0 : sum / static_cast<double>(used);

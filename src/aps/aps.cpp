@@ -293,10 +293,6 @@ AnnDseResult run_ann_dse(const GridSpace& space, const FullDseResult& truth,
   AnnDseResult result;
   Rng rng(options.seed);
 
-  // Feature vectors for every grid point (queried repeatedly).
-  std::vector<Vector> features(space.size());
-  for (std::size_t flat = 0; flat < space.size(); ++flat) features[flat] = space.point(flat);
-
   // Candidate pool: feasible designs only (infeasible ones are not chips).
   std::vector<std::size_t> pool;
   pool.reserve(space.size());
@@ -306,16 +302,20 @@ AnnDseResult run_ann_dse(const GridSpace& space, const FullDseResult& truth,
   // Random draw order (sampling without replacement).
   for (std::size_t i = pool.size() - 1; i > 0; --i)
     std::swap(pool[i], pool[rng.uniform_below(i + 1)]);
+  // Feature vectors in draw order, queried every round.
+  std::vector<Vector> pool_features;
+  pool_features.reserve(pool.size());
+  for (const std::size_t flat : pool) pool_features.push_back(space.point(flat));
 
   std::vector<Vector> train_x;
   std::vector<double> train_y;
   std::size_t drawn = 0;
   auto draw = [&](std::size_t count) {
     while (count-- > 0 && drawn < pool.size()) {
-      const std::size_t flat = pool[drawn++];
-      train_x.push_back(features[flat]);
+      train_x.push_back(pool_features[drawn]);
       // Learn log-time: multiplicative structure, relative-error friendly.
-      train_y.push_back(std::log(truth.times[flat]));
+      train_y.push_back(std::log(truth.times[pool[drawn]]));
+      ++drawn;
     }
   };
 
@@ -323,19 +323,22 @@ AnnDseResult run_ann_dse(const GridSpace& space, const FullDseResult& truth,
   const std::size_t cap = std::min(options.max_samples, pool.size());
   while (true) {
     MlpConfig config;
-    config.layer_sizes.push_back(features[0].size());
+    config.layer_sizes.push_back(pool_features[0].size());
     for (const std::size_t h : options.hidden_layers) config.layer_sizes.push_back(h);
     config.layer_sizes.push_back(1);
     config.seed = options.seed + train_x.size();
     Mlp mlp(config);
     mlp.fit(train_x, train_y, options.epochs_per_round);
 
-    // Predict over every feasible design; pick the predicted best.
+    // Predict over every feasible design in one batch; pick the predicted
+    // best and sum the errors serially, in pool order.
+    const std::vector<double> log_preds = mlp.predict_batch(pool_features);
     std::size_t predicted_best = pool[0];
     double predicted_best_value = std::numeric_limits<double>::infinity();
     double rel_error_sum = 0.0;
-    for (const std::size_t flat : pool) {
-      const double log_pred = mlp.predict(features[flat]);
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      const std::size_t flat = pool[k];
+      const double log_pred = log_preds[k];
       if (log_pred < predicted_best_value) {
         predicted_best_value = log_pred;
         predicted_best = flat;

@@ -97,6 +97,11 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
     classes.push_back(ClassState{cores, std::move(members), false});
   result.stats.classes_total = classes.size();
 
+  // The net's view of every point, built once per sweep: the training set,
+  // each repredict and the final MRE pass all read these.
+  std::vector<Vector> features(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) features[i] = features_of(points[i]);
+
   // Training set: (log2 point -> log time) in the order results streamed
   // in — a pure function of prior simulation results, so identical at any
   // thread count.
@@ -116,7 +121,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
       result.outcomes[idx] = outcomes[k];
       result.simulated[idx] = 1;
       if (outcomes[k].time > 0.0) {
-        train_x.push_back(features_of(points[idx]));
+        train_x.push_back(features[idx]);
         train_y.push_back(std::log(outcomes[k].time));
       }
     }
@@ -164,21 +169,21 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
 
   // Per-round scratch, refreshed from the current model: predicted time for
   // every unsimulated point (+inf where simulated, so mins ignore them).
+  // The batch covers every point so it can read `features` in place;
+  // predictions are independent, so the simulated points' share changes
+  // none of the others.
   std::vector<double> predicted(points.size(), std::numeric_limits<double>::infinity());
   auto repredict = [&]() {
+    const std::vector<double> log_pred = model.predict_batch(features);
     std::vector<std::size_t> pending;
-    std::vector<Vector> feats;
     for (std::size_t i = 0; i < points.size(); ++i) {
       if (result.simulated[i]) {
         predicted[i] = std::numeric_limits<double>::infinity();
       } else {
         pending.push_back(i);
-        feats.push_back(features_of(points[i]));
+        predicted[i] = std::exp(log_pred[i]);
       }
     }
-    const std::vector<double> log_pred = model.predict_batch(feats);
-    for (std::size_t k = 0; k < pending.size(); ++k)
-      predicted[pending[k]] = std::exp(log_pred[k]);
     return pending;
   };
 
@@ -317,7 +322,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
     std::vector<std::size_t> eval_idx;
     for (std::size_t i = 0; i < points.size(); ++i)
       if (result.simulated[i] && result.outcomes[i].time > 0.0) {
-        eval_x.push_back(features_of(points[i]));
+        eval_x.push_back(features[i]);
         eval_idx.push_back(i);
       }
     if (!eval_x.empty()) {

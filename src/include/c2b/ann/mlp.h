@@ -29,14 +29,14 @@ struct MlpConfig {
 /// Min/max feature scaling to [-1, 1], fitted on the training set and
 /// applied to every query (constant features map to 0). The map is affine
 /// per dimension, so any training sample round-trips exactly:
-/// x == lo + (transform(x) + 1) / 2 * (hi - lo).
+/// x == lo + (t + 1) / 2 * (hi - lo) for t = the scaled image of x.
 class FeatureScaler {
  public:
   void fit(const std::vector<Vector>& samples);
-  Vector transform(const Vector& x) const;
-  /// Allocation-free transform for hot loops: writes into `out` (resized to
-  /// x.size()); bitwise-identical to transform().
-  void transform_into(const Vector& x, Vector& out) const;
+  /// Writes the x.size() scaled coordinates of x to out[0..x.size()) —
+  /// allocation-free, so the MLP scales straight into its activation
+  /// buffers.
+  void transform_into(const Vector& x, double* out) const;
   bool fitted() const noexcept { return !lo_.empty(); }
 
  private:
@@ -47,20 +47,28 @@ class Mlp {
  public:
   explicit Mlp(const MlpConfig& config);
 
-  /// One SGD epoch over the batch (shuffled); returns the epoch's mean
-  /// squared error on raw (unscaled) targets.
+  /// One SGD epoch over the batch (shuffled) under the scaler and target
+  /// normalization of the last fit(); returns the epoch's mean squared
+  /// error on raw (unscaled) targets. Rescales the batch on every call;
+  /// fit() scales its training set once for all of its epochs.
   double train_epoch(const std::vector<Vector>& inputs, const std::vector<double>& targets);
 
   /// Train until `epochs` or an MSE plateau; inputs are raw design points —
-  /// the scaler and target normalization are fitted internally.
+  /// the scaler and target normalization are fitted internally. Training is
+  /// serial SGD over buffers allocated once, so a refit performs no
+  /// per-sample allocation; refits warm-start from the current weights.
   void fit(const std::vector<Vector>& inputs, const std::vector<double>& targets, int epochs);
 
   double predict(const Vector& input) const;
 
-  /// Batched prediction, bitwise-identical to calling predict() per input
-  /// but reusing one layer-output scratch buffer across the whole batch
-  /// instead of allocating two vectors per layer per call — the space-wide
-  /// surrogate ranking queries the net 10^5-10^6 times per round.
+  /// Batches at most this long are predicted inline on the caller; longer
+  /// ones are split over the pool in chunks of at least this many inputs.
+  static constexpr std::size_t kPredictGrain = 512;
+
+  /// out[i] == predict(inputs[i]), bitwise, at every pool width: the inputs
+  /// are mapped over exec::ThreadPool::global(), each chunk runs the
+  /// forward kernel over its own activation scratch, and each prediction
+  /// lands in its own index-ordered slot (nothing reduces across inputs).
   std::vector<double> predict_batch(const std::vector<Vector>& inputs) const;
 
   /// Targets with |truth| below this are skipped by mean_relative_error —
@@ -77,14 +85,28 @@ class Mlp {
   const MlpConfig& config() const noexcept { return config_; }
 
   /// Trained weight matrices, layer l shaped (out, in+1) with a trailing
-  /// bias column — exposed so determinism tests can assert that equal
-  /// (seed, training set) pairs yield bitwise-equal nets.
+  /// bias column, and their SGD momentum terms (same shapes) — exposed so
+  /// tests can assert bitwise equality of nets against each other and
+  /// against a reference implementation.
   const std::vector<Matrix>& weights() const noexcept { return weights_; }
+  const std::vector<Matrix>& velocities() const noexcept { return velocity_; }
 
  private:
-  Vector forward(const Vector& scaled_input, std::vector<Vector>* layer_outputs) const;
-  void backward(const Vector& scaled_input, const std::vector<Vector>& layer_outputs,
-                double error);
+  /// The one forward kernel, shared by training, predict and
+  /// predict_batch: runs a scaled input through every layer, writing each
+  /// layer's outputs to acts back to back (acts holds acts_.size()
+  /// doubles), and returns the normalized output. Allocation-free.
+  double forward(const double* scaled_input, double* acts) const;
+  /// Backpropagates one sample whose normalized output error is `error`
+  /// through the activations forward() left in acts_, and applies the
+  /// momentum-SGD update to every layer.
+  void sgd_step(const double* scaled_input, double error);
+  /// Scales `inputs` and normalizes `targets` into the per-fit caches.
+  void cache_training_set(const std::vector<Vector>& inputs, const std::vector<double>& targets);
+  /// One shuffled SGD pass over the cached training set; returns the MSE
+  /// on raw targets.
+  double run_epoch();
+  double predict_into(const Vector& input, double* scratch) const;
   double activate(double x) const;
   double activate_derivative(double activated) const;
 
@@ -94,7 +116,14 @@ class Mlp {
   FeatureScaler scaler_;
   double target_mean_ = 0.0;
   double target_scale_ = 1.0;
-  mutable Rng rng_;
+  Rng rng_;
+  // Training buffers, sized once in the constructor (activations, deltas)
+  // or once per fit (the scaled inputs, normalized targets, and order).
+  std::vector<double> acts_;  ///< every layer's outputs, back to back
+  std::vector<double> delta_, next_delta_;
+  std::vector<double> scaled_x_;  ///< row-major, layer_sizes[0] per sample
+  std::vector<double> norm_y_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace c2b

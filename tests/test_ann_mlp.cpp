@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "c2b/common/rng.h"
 #include "c2b/exec/pool.h"
@@ -11,16 +15,22 @@
 namespace c2b {
 namespace {
 
+Vector scaled(const FeatureScaler& scaler, const Vector& x) {
+  Vector out(x.size());
+  scaler.transform_into(x, out.data());
+  return out;
+}
+
 TEST(FeatureScaler, MapsToMinusOneOne) {
   FeatureScaler scaler;
   scaler.fit({{0.0, 10.0}, {4.0, 20.0}});
-  const Vector lo = scaler.transform({0.0, 10.0});
+  const Vector lo = scaled(scaler, {0.0, 10.0});
   EXPECT_DOUBLE_EQ(lo[0], -1.0);
   EXPECT_DOUBLE_EQ(lo[1], -1.0);
-  const Vector hi = scaler.transform({4.0, 20.0});
+  const Vector hi = scaled(scaler, {4.0, 20.0});
   EXPECT_DOUBLE_EQ(hi[0], 1.0);
   EXPECT_DOUBLE_EQ(hi[1], 1.0);
-  const Vector mid = scaler.transform({2.0, 15.0});
+  const Vector mid = scaled(scaler, {2.0, 15.0});
   EXPECT_DOUBLE_EQ(mid[0], 0.0);
   EXPECT_DOUBLE_EQ(mid[1], 0.0);
 }
@@ -28,12 +38,12 @@ TEST(FeatureScaler, MapsToMinusOneOne) {
 TEST(FeatureScaler, ConstantFeatureMapsToZero) {
   FeatureScaler scaler;
   scaler.fit({{5.0}, {5.0}});
-  EXPECT_DOUBLE_EQ(scaler.transform({5.0})[0], 0.0);
+  EXPECT_DOUBLE_EQ(scaled(scaler, {5.0})[0], 0.0);
 }
 
 TEST(FeatureScaler, GuardsMisuse) {
   FeatureScaler scaler;
-  EXPECT_THROW((void)scaler.transform({1.0}), std::invalid_argument);
+  EXPECT_THROW((void)scaled(scaler, {1.0}), std::invalid_argument);
   EXPECT_THROW(scaler.fit({}), std::invalid_argument);
 }
 
@@ -223,7 +233,7 @@ TEST(FeatureScaler, OutputsStayInUnitRangeOnTrainingSamples) {
   FeatureScaler scaler;
   scaler.fit(samples);
   for (const Vector& s : samples) {
-    const Vector t = scaler.transform(s);
+    const Vector t = scaled(scaler, s);
     for (std::size_t d = 0; d < t.size(); ++d) {
       EXPECT_GE(t[d], -1.0) << "dim " << d;
       EXPECT_LE(t[d], 1.0) << "dim " << d;
@@ -246,7 +256,7 @@ TEST(FeatureScaler, TransformIsAffineRoundTrip) {
   // The map is affine per dimension, so the documented inverse recovers
   // every training sample (up to rounding) from its transformed image.
   for (const Vector& s : samples) {
-    const double t = scaler.transform(s)[0];
+    const double t = scaled(scaler, s)[0];
     EXPECT_NEAR(lo + (t + 1.0) / 2.0 * (hi - lo), s[0], 1e-9);
   }
 }
@@ -254,14 +264,325 @@ TEST(FeatureScaler, TransformIsAffineRoundTrip) {
 TEST(FeatureScaler, TransformIntoMatchesTransformBitwise) {
   FeatureScaler scaler;
   scaler.fit({{0.0, 10.0, 7.0}, {4.0, 20.0, 7.0}});
-  Vector out;
+  const Vector lo{0.0, 10.0, 7.0};
+  const Vector hi{4.0, 20.0, 7.0};
   for (const Vector& q :
        {Vector{1.0, 12.0, 7.0}, Vector{-3.0, 25.0, 8.0}, Vector{4.0, 10.0, 7.0}}) {
-    scaler.transform_into(q, out);
-    const Vector want = scaler.transform(q);
-    ASSERT_EQ(out.size(), want.size());
-    for (std::size_t d = 0; d < want.size(); ++d) EXPECT_TRUE(bit_equal(out[d], want[d]));
+    const Vector out = scaled(scaler, q);
+    ASSERT_EQ(out.size(), q.size());
+    for (std::size_t d = 0; d < q.size(); ++d) {
+      const double span = hi[d] - lo[d];
+      const double want = span <= 0.0 ? 0.0 : 2.0 * (q[d] - lo[d]) / span - 1.0;
+      EXPECT_TRUE(bit_equal(out[d], want)) << "dim " << d;
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reference implementation: the original Vector/Matrix MLP, kept
+// deliberately simple — the scaler runs per sample per epoch, the forward
+// pass allocates one vector per layer, and backpropagation computes the
+// layer below's delta in a separate pass before touching any weight. The
+// shipped Mlp must reproduce its weights, velocities, epoch errors and
+// predictions bit for bit.
+
+class ReferenceMlp {
+ public:
+  explicit ReferenceMlp(const MlpConfig& config) : config_(config), rng_(config.seed) {
+    for (std::size_t l = 0; l + 1 < config_.layer_sizes.size(); ++l) {
+      const std::size_t fan_in = config_.layer_sizes[l];
+      const std::size_t fan_out = config_.layer_sizes[l + 1];
+      Matrix w(fan_out, fan_in + 1);
+      const double scale = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
+      for (std::size_t r = 0; r < w.rows(); ++r)
+        for (std::size_t c = 0; c < w.cols(); ++c) w(r, c) = rng_.uniform(-scale, scale);
+      weights_.push_back(std::move(w));
+      velocity_.emplace_back(fan_out, fan_in + 1, 0.0);
+    }
+  }
+
+  double train_epoch(const std::vector<Vector>& inputs, const std::vector<double>& targets) {
+    std::vector<std::size_t> order(inputs.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size() - 1; i > 0; --i)
+      std::swap(order[i], order[rng_.uniform_below(i + 1)]);
+    double squared_error = 0.0;
+    std::vector<Vector> layer_outputs;
+    for (const std::size_t idx : order) {
+      const Vector x = scale(inputs[idx]);
+      const double target_norm = (targets[idx] - target_mean_) / target_scale_;
+      layer_outputs.clear();
+      const Vector out = forward(x, &layer_outputs);
+      const double error = out[0] - target_norm;
+      squared_error += error * error * target_scale_ * target_scale_;
+      backward(layer_outputs, error);
+    }
+    return squared_error / static_cast<double>(inputs.size());
+  }
+
+  void fit(const std::vector<Vector>& inputs, const std::vector<double>& targets, int epochs) {
+    const std::size_t dim = inputs[0].size();
+    lo_.assign(dim, std::numeric_limits<double>::infinity());
+    hi_.assign(dim, -std::numeric_limits<double>::infinity());
+    for (const Vector& s : inputs)
+      for (std::size_t d = 0; d < dim; ++d) {
+        lo_[d] = std::min(lo_[d], s[d]);
+        hi_[d] = std::max(hi_[d], s[d]);
+      }
+    double mean = 0.0;
+    for (const double t : targets) mean += t;
+    mean /= static_cast<double>(targets.size());
+    double spread = 0.0;
+    for (const double t : targets) spread = std::max(spread, std::fabs(t - mean));
+    target_mean_ = mean;
+    target_scale_ = spread > 0.0 ? spread : 1.0;
+
+    double best = std::numeric_limits<double>::infinity();
+    int stale = 0;
+    for (int e = 0; e < epochs; ++e) {
+      const double mse = train_epoch(inputs, targets);
+      if (mse < best * 0.999) {
+        best = mse;
+        stale = 0;
+      } else if (++stale > 50) {
+        break;
+      }
+    }
+  }
+
+  double predict(const Vector& input) const {
+    return forward(scale(input), nullptr)[0] * target_scale_ + target_mean_;
+  }
+
+  const std::vector<Matrix>& weights() const { return weights_; }
+  const std::vector<Matrix>& velocities() const { return velocity_; }
+
+ private:
+  Vector scale(const Vector& x) const {
+    Vector out(x.size());
+    for (std::size_t d = 0; d < x.size(); ++d) {
+      const double span = hi_[d] - lo_[d];
+      out[d] = span <= 0.0 ? 0.0 : 2.0 * (x[d] - lo_[d]) / span - 1.0;
+    }
+    return out;
+  }
+
+  double activate(double x) const {
+    switch (config_.hidden_activation) {
+      case Activation::kTanh:
+        return std::tanh(x);
+      case Activation::kRelu:
+        return x > 0.0 ? x : 0.0;
+      case Activation::kIdentity:
+        return x;
+    }
+    return x;
+  }
+
+  double activate_derivative(double activated) const {
+    switch (config_.hidden_activation) {
+      case Activation::kTanh:
+        return 1.0 - activated * activated;
+      case Activation::kRelu:
+        return activated > 0.0 ? 1.0 : 0.0;
+      case Activation::kIdentity:
+        return 1.0;
+    }
+    return 1.0;
+  }
+
+  Vector forward(const Vector& scaled_input, std::vector<Vector>* layer_outputs) const {
+    Vector current = scaled_input;
+    if (layer_outputs) layer_outputs->push_back(current);
+    for (std::size_t l = 0; l < weights_.size(); ++l) {
+      const Matrix& w = weights_[l];
+      Vector next(w.rows(), 0.0);
+      for (std::size_t r = 0; r < w.rows(); ++r) {
+        double sum = w(r, w.cols() - 1);  // bias
+        for (std::size_t c = 0; c + 1 < w.cols(); ++c) sum += w(r, c) * current[c];
+        next[r] = (l + 1 == weights_.size()) ? sum : activate(sum);
+      }
+      current = std::move(next);
+      if (layer_outputs) layer_outputs->push_back(current);
+    }
+    return current;
+  }
+
+  void backward(const std::vector<Vector>& layer_outputs, double error) {
+    Vector delta{error};
+    for (std::size_t l = weights_.size(); l-- > 0;) {
+      const Vector& input = layer_outputs[l];
+      Matrix& w = weights_[l];
+      Matrix& v = velocity_[l];
+      Vector next_delta;
+      if (l > 0) {
+        next_delta.assign(input.size(), 0.0);
+        for (std::size_t c = 0; c < input.size(); ++c) {
+          double sum = 0.0;
+          for (std::size_t r = 0; r < w.rows(); ++r) sum += w(r, c) * delta[r];
+          next_delta[c] = sum * activate_derivative(input[c]);
+        }
+      }
+      for (std::size_t r = 0; r < w.rows(); ++r)
+        for (std::size_t c = 0; c < w.cols(); ++c) {
+          const double x = (c + 1 == w.cols()) ? 1.0 : input[c];
+          const double grad = delta[r] * x + config_.l2_penalty * w(r, c);
+          v(r, c) = config_.momentum * v(r, c) - config_.learning_rate * grad;
+          w(r, c) += v(r, c);
+        }
+      delta = std::move(next_delta);
+    }
+  }
+
+  MlpConfig config_;
+  std::vector<Matrix> weights_;
+  std::vector<Matrix> velocity_;
+  Vector lo_, hi_;
+  double target_mean_ = 0.0;
+  double target_scale_ = 1.0;
+  Rng rng_;
+};
+
+/// Counts matrix entries that differ bitwise (and fails on shape mismatch).
+std::size_t bit_mismatches(const std::vector<Matrix>& a, const std::vector<Matrix>& b) {
+  if (a.size() != b.size()) return std::numeric_limits<std::size_t>::max();
+  std::size_t mismatches = 0;
+  for (std::size_t l = 0; l < a.size(); ++l) {
+    if (a[l].rows() != b[l].rows() || a[l].cols() != b[l].cols())
+      return std::numeric_limits<std::size_t>::max();
+    for (std::size_t r = 0; r < a[l].rows(); ++r)
+      for (std::size_t c = 0; c < a[l].cols(); ++c)
+        if (!bit_equal(a[l](r, c), b[l](r, c))) ++mismatches;
+  }
+  return mismatches;
+}
+
+bool all_finite(const std::vector<Matrix>& layers) {
+  for (const Matrix& m : layers)
+    for (std::size_t r = 0; r < m.rows(); ++r)
+      for (std::size_t c = 0; c < m.cols(); ++c)
+        if (!std::isfinite(m(r, c))) return false;
+  return true;
+}
+
+/// A smooth target over `dim` inputs, drawn from its own stream.
+std::pair<std::vector<Vector>, std::vector<double>> smooth_set(std::size_t dim, int n,
+                                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::pair<std::vector<Vector>, std::vector<double>> set;
+  for (int i = 0; i < n; ++i) {
+    Vector x(dim);
+    double y = 0.5;
+    for (std::size_t d = 0; d < dim; ++d) {
+      x[d] = rng.uniform(0.5, 8.0);
+      y += std::sin(x[d]) / static_cast<double>(d + 1);
+    }
+    y += 0.1 * x[0] * x[dim - 1];
+    set.first.push_back(std::move(x));
+    set.second.push_back(y);
+  }
+  return set;
+}
+
+const std::vector<std::vector<std::size_t>>& reference_shapes() {
+  static const std::vector<std::vector<std::size_t>> shapes{
+      {1, 1}, {2, 3, 1}, {3, 5, 4, 1}, {4, 6, 5, 3, 1}};
+  return shapes;
+}
+
+MlpConfig reference_config(const std::vector<std::size_t>& shape, Activation activation,
+                           std::uint64_t seed) {
+  MlpConfig config;
+  config.layer_sizes = shape;
+  config.hidden_activation = activation;
+  config.learning_rate = 0.02;
+  config.seed = seed;
+  return config;
+}
+
+// Property: the shipped kernel (buffers allocated once, inputs scaled once
+// per fit, the layer below's delta fused into the weight update) is the
+// reference, bitwise — weights and velocities after every single epoch,
+// the epoch errors, and the plateau-stopped fits — across all activations,
+// shapes from a bare linear unit to three hidden layers, and warm-started
+// refits whose training sets grow and shrink.
+TEST(MlpReference, WeightsAndVelocitiesMatchAfterEveryEpoch) {
+  constexpr int kEpochsPerSegment = 8;
+  const int segment_sizes[] = {23, 41, 9};
+  std::uint64_t seed = 100;
+  for (const Activation activation :
+       {Activation::kTanh, Activation::kRelu, Activation::kIdentity}) {
+    for (const std::vector<std::size_t>& shape : reference_shapes()) {
+      const MlpConfig config = reference_config(shape, activation, ++seed);
+      Mlp mlp(config);
+      ReferenceMlp reference(config);
+      ASSERT_EQ(bit_mismatches(mlp.weights(), reference.weights()), 0u);
+      const std::string where = "activation " + std::to_string(static_cast<int>(activation)) +
+                                " depth " + std::to_string(shape.size());
+      for (const int n : segment_sizes) {
+        const auto set = smooth_set(shape[0], n, seed * 31 + static_cast<std::uint64_t>(n));
+        // A one-epoch fit refits scaler and target normalization for the
+        // new sample count; train_epoch then continues under them.
+        mlp.fit(set.first, set.second, 1);
+        reference.fit(set.first, set.second, 1);
+        for (int e = 0; e <= kEpochsPerSegment; ++e) {
+          ASSERT_EQ(bit_mismatches(mlp.weights(), reference.weights()), 0u)
+              << where << " n " << n << " epoch " << e;
+          ASSERT_EQ(bit_mismatches(mlp.velocities(), reference.velocities()), 0u)
+              << where << " n " << n << " epoch " << e;
+          if (e == kEpochsPerSegment) break;
+          const double got = mlp.train_epoch(set.first, set.second);
+          const double want = reference.train_epoch(set.first, set.second);
+          ASSERT_TRUE(bit_equal(got, want)) << where << " n " << n << " epoch " << e;
+        }
+        // A multi-epoch warm-started fit runs from the per-fit scaled cache,
+        // including the plateau stop.
+        mlp.fit(set.first, set.second, 90);
+        reference.fit(set.first, set.second, 90);
+        ASSERT_EQ(bit_mismatches(mlp.weights(), reference.weights()), 0u) << where << " n " << n;
+        ASSERT_EQ(bit_mismatches(mlp.velocities(), reference.velocities()), 0u)
+            << where << " n " << n;
+      }
+      EXPECT_TRUE(all_finite(mlp.weights())) << where;
+    }
+  }
+}
+
+// Property: predict and predict_batch are the reference's predictions,
+// bitwise, at pool widths 1, 2 and 8 and for batches below, at and above
+// the inline grain — chunking never changes a slot.
+TEST(MlpReference, PredictAndPredictBatchMatchAtEveryPoolWidth) {
+  const std::size_t batch_sizes[] = {Mlp::kPredictGrain - 1, Mlp::kPredictGrain,
+                                     Mlp::kPredictGrain + 1, 4 * Mlp::kPredictGrain + 3};
+  std::uint64_t seed = 500;
+  for (const Activation activation :
+       {Activation::kTanh, Activation::kRelu, Activation::kIdentity}) {
+    const MlpConfig config = reference_config({3, 8, 6, 1}, activation, ++seed);
+    Mlp mlp(config);
+    ReferenceMlp reference(config);
+    const auto train = smooth_set(3, 60, seed);
+    mlp.fit(train.first, train.second, 40);
+    reference.fit(train.first, train.second, 40);
+    ASSERT_EQ(bit_mismatches(mlp.weights(), reference.weights()), 0u);
+    for (const std::size_t count : batch_sizes) {
+      const auto query = smooth_set(3, static_cast<int>(count), seed * 7 + count);
+      std::vector<double> want(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        want[i] = reference.predict(query.first[i]);
+        ASSERT_TRUE(bit_equal(mlp.predict(query.first[i]), want[i])) << "query " << i;
+      }
+      for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+        exec::set_thread_count(threads);
+        const std::vector<double> got = mlp.predict_batch(query.first);
+        ASSERT_EQ(got.size(), count);
+        for (std::size_t i = 0; i < count; ++i)
+          ASSERT_TRUE(bit_equal(got[i], want[i]))
+              << "activation " << static_cast<int>(activation) << " batch " << count
+              << " threads " << threads << " query " << i;
+      }
+    }
+  }
+  exec::set_thread_count(0);
 }
 
 }  // namespace
