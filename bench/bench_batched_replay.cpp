@@ -82,6 +82,32 @@ Scenario neighborhood_sweep(const std::string& name, WorkloadSpec workload, doub
   return s;
 }
 
+/// The `aps_t1` perfbench study's APS neighborhood: fluidanimate_like at
+/// N = 12 with the cache split APS chose there (a1 0.125, a2 0.25, i.e.
+/// L1 2 KiB and L2 256 KiB on the `c2b` default geometry) across all 24
+/// issue x ROB pairs, in the `c2b aps` default context. Twelve cores on a
+/// thrashing L1 saturate DRAM, so accesses queue and long miss intervals
+/// overlap: the stall-heavy regime where replay costs most per access.
+Scenario neighborhood_n12_saturated() {
+  Scenario s;
+  s.name = "neighborhood_n12_saturated";
+  s.context.workload = make_fluidanimate_like_workload();
+  s.context.base.hierarchy.l1_geometry = {.size_bytes = 16 * 1024, .line_bytes = 64,
+                                          .associativity = 4};
+  s.context.base.hierarchy.l2_geometry = {.size_bytes = 512 * 1024, .line_bytes = 64,
+                                          .associativity = 8};
+  s.context.instructions0 = 20'000;
+  s.context.per_core_cap = 10'000;
+  s.context.chip.total_area = 9.0;
+  s.context.chip.shared_area = 1.0;
+  for (const double issue : {1.0, 2.0, 4.0, 8.0})
+    for (const double rob : {16.0, 32.0, 64.0, 128.0, 192.0, 256.0}) {
+      const std::vector<double> point{0.25, 0.125, 0.25, 12.0, issue, rob};
+      if (design_feasible(s.context, point)) s.points.push_back(point);
+    }
+  return s;
+}
+
 struct Measurement {
   std::string name;
   std::size_t points = 0;
@@ -159,7 +185,9 @@ int main(int argc, char** argv) {
   // dependent-chase extreme (N = 8), and a wide-chip sweep (N = 16) whose
   // 36-point class splits into 16+16+4 power-of-two batch units.
   // Working-set knobs are sized so the per-stream setup cost is material
-  // next to the APS simulation window.
+  // next to the APS simulation window. The last scenario is the
+  // DRAM-saturated N = 12 neighborhood APS simulates on the Fig.-12-scale
+  // grid.
   std::vector<Scenario> scenarios{
       neighborhood_sweep("neighborhood_n4", make_fluidanimate_like_workload(1u << 19), 4.0,
                          /*instructions0=*/6'000),
@@ -167,6 +195,7 @@ int main(int argc, char** argv) {
                          /*instructions0=*/6'000),
       neighborhood_sweep("neighborhood_n16", make_fluidanimate_like_workload(1u << 19), 16.0,
                          /*instructions0=*/6'000),
+      neighborhood_n12_saturated(),
   };
   std::vector<Measurement> measurements(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i)

@@ -325,7 +325,8 @@ struct BatchUnitResult {
 
 /// Simulate one unit: generate each phase's streams once into a shared
 /// chunk store and replay all members over them in lockstep. This is the
-/// only production simulation path of a design.
+/// only production simulation path of a design. The replay is timing-only:
+/// fold_phases reads cycles, CPI and access counts, never C-AMAT.
 BatchUnitResult run_batch_unit(const DseContext& context,
                                const std::vector<sim::SystemConfig>& configs,
                                const BatchUnit& unit, const ClassPrototypes& prototypes) {
@@ -369,7 +370,8 @@ BatchUnitResult run_batch_unit(const DseContext& context,
       cursors.emplace_back(store, stream);
       member_cursors[m] = {&cursors.back()};
     }
-    serial = sim::simulate_system_batched(member_configs, member_cursors, &out.kernel);
+    serial = sim::simulate_system_batched(member_configs, member_cursors,
+                                          sim::ReplayMode::kTimingOnly, &out.kernel);
     fold_store_stats(store);
   }
 
@@ -389,7 +391,8 @@ BatchUnitResult run_batch_unit(const DseContext& context,
         member_cursors[m].push_back(&cursors.back());
       }
     }
-    parallel = sim::simulate_system_batched(member_configs, member_cursors, &out.kernel);
+    parallel = sim::simulate_system_batched(member_configs, member_cursors,
+                                            sim::ReplayMode::kTimingOnly, &out.kernel);
     fold_store_stats(store);
   }
 

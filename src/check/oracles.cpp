@@ -539,6 +539,12 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
 
 namespace {
 
+/// Which SystemResult fields diff_system_results compares.
+enum class ResultFields {
+  kAll,
+  kTiming,  ///< everything but CoreResult::camat (timing-only replay leaves it empty)
+};
+
 /// First field-level difference between two SystemResults, or nullopt when
 /// they are bitwise identical. Integers compare exactly; doubles compare by
 /// bit pattern (the kernel contract is bit-identity, not closeness). Every
@@ -546,7 +552,8 @@ namespace {
 /// adding a field to those structs without extending this comparator is
 /// what the field-count asserts in test_sim_kernel_equiv guard against.
 std::optional<std::string> diff_system_results(const sim::SystemResult& a,
-                                               const sim::SystemResult& b) {
+                                               const sim::SystemResult& b,
+                                               ResultFields fields = ResultFields::kAll) {
   std::ostringstream os;
   auto u64 = [&](const std::string& label, std::uint64_t x, std::uint64_t y) {
     if (x == y) return false;
@@ -573,6 +580,7 @@ std::optional<std::string> diff_system_results(const sim::SystemResult& a,
         u64(p + "cycles", x.cycles, y.cycles) || dbl(p + "cpi", x.cpi, y.cpi) ||
         dbl(p + "f_mem", x.f_mem, y.f_mem))
       return os.str();
+    if (fields == ResultFields::kTiming) continue;
     const TimelineMetrics& m = x.camat;
     const TimelineMetrics& n = y.camat;
     const std::string q = p + "camat.";
@@ -670,9 +678,10 @@ std::vector<sim::SystemConfig> gen_batch_members(Rng& rng, const sim::SystemConf
 }
 
 /// The kernel at batch widths {1,2,4,8,16} over shared chunk-store streams
-/// vs the per-cycle reference, member by member and every field bitwise.
-/// One random workload + core count per set; per width, a heterogeneous
-/// member list.
+/// vs the per-cycle reference, member by member. Each width replays twice:
+/// with C-AMAT (every field bitwise) and timing-only, the mode design
+/// replay ships (every field but camat bitwise, camat empty). One random
+/// workload + core count per set; per width, a heterogeneous member list.
 void check_batch_widths(const OracleOptions& options, OracleReport& report) {
   const std::size_t sets = std::max<std::size_t>(1, options.kernel_configs / 10);
   for (std::size_t i = 0; i < sets; ++i) {
@@ -695,41 +704,58 @@ void check_batch_widths(const OracleOptions& options, OracleReport& report) {
 
     for (const std::size_t width : {1, 2, 4, 8, 16}) {
       const std::vector<sim::SystemConfig> configs = gen_batch_members(rng, proto, width);
-      TraceChunkStore store;
-      for (std::uint32_t c = 0; c < n; ++c)
-        store.add_stream(spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c)),
-                         window);
-      store.set_readers(static_cast<std::uint32_t>(width));
-      std::vector<ChunkCursor> cursors;
-      cursors.reserve(width * n);
-      std::vector<std::vector<TraceCursor*>> member_cursors(width);
-      for (std::size_t m = 0; m < width; ++m) {
-        member_cursors[m].reserve(n);
-        for (std::uint32_t c = 0; c < n; ++c) {
-          cursors.emplace_back(store, c);
-          member_cursors[m].push_back(&cursors.back());
+      const auto replay = [&](sim::ReplayMode mode, sim::BatchKernelStats& kernel) {
+        TraceChunkStore store;
+        for (std::uint32_t c = 0; c < n; ++c)
+          store.add_stream(spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c)),
+                           window);
+        store.set_readers(static_cast<std::uint32_t>(width));
+        std::vector<ChunkCursor> cursors;
+        cursors.reserve(width * n);
+        std::vector<std::vector<TraceCursor*>> member_cursors(width);
+        for (std::size_t m = 0; m < width; ++m) {
+          member_cursors[m].reserve(n);
+          for (std::uint32_t c = 0; c < n; ++c) {
+            cursors.emplace_back(store, c);
+            member_cursors[m].push_back(&cursors.back());
+          }
         }
-      }
+        return sim::simulate_system_batched(configs, member_cursors, mode, &kernel);
+      };
       sim::BatchKernelStats kernel;
-      const std::vector<sim::SystemResult> results =
-          sim::simulate_system_batched(configs, member_cursors, &kernel);
+      sim::BatchKernelStats timing_kernel;
+      const std::vector<sim::SystemResult> results = replay(sim::ReplayMode::kWithCamat, kernel);
+      const std::vector<sim::SystemResult> timing =
+          replay(sim::ReplayMode::kTimingOnly, timing_kernel);
 
+      const std::string where = "width set #" + std::to_string(i) + " width=" +
+                                std::to_string(width);
       for (std::size_t m = 0; m < width; ++m) {
         ++report.checks;
-        if (auto diff = diff_system_results(
-                results[m], sim::simulate_system_reference(configs[m], traces))) {
-          report.failures.push_back("width set #" + std::to_string(i) + " width=" +
-                                    std::to_string(width) + " member " + std::to_string(m) +
-                                    " (" + print_system_config(configs[m]) +
-                                    ") vs reference " + *diff + "; repro: " + repro);
+        const sim::SystemResult reference = sim::simulate_system_reference(configs[m], traces);
+        std::optional<std::string> diff = diff_system_results(results[m], reference);
+        if (!diff) {
+          diff = diff_system_results(timing[m], reference, ResultFields::kTiming);
+          if (diff) *diff = "timing-only " + *diff;
+        }
+        for (std::size_t c = 0; !diff && c < timing[m].cores.size(); ++c)
+          if (timing[m].cores[c].camat.accesses != 0)
+            diff = "timing-only cores[" + std::to_string(c) + "].camat.accesses " +
+                   std::to_string(timing[m].cores[c].camat.accesses) + " != 0";
+        if (diff) {
+          report.failures.push_back(where + " member " + std::to_string(m) + " (" +
+                                    print_system_config(configs[m]) + ") vs reference " +
+                                    *diff + "; repro: " + repro);
           break;
         }
       }
       ++report.checks;
       if (kernel.simd_steps == 0)
-        report.failures.push_back("width set #" + std::to_string(i) + " width=" +
-                                  std::to_string(width) +
-                                  ": kernel reported zero steps; repro: " + repro);
+        report.failures.push_back(where + ": kernel reported zero steps; repro: " + repro);
+      else if (timing_kernel.simd_steps != kernel.simd_steps ||
+               timing_kernel.simd_peels != kernel.simd_peels ||
+               timing_kernel.simd_lanes_active != kernel.simd_lanes_active)
+        report.failures.push_back(where + ": timing-only kernel stats differ; repro: " + repro);
     }
   }
 }

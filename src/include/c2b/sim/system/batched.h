@@ -10,6 +10,16 @@
 // (simulate_system, simulate_system_streaming, simulate_single_core) are
 // K=1 calls into it.
 //
+// C-AMAT detection runs only where it is read. The caller states once per
+// call whether it wants C-AMAT (ReplayMode), and the kernel is compiled
+// twice from the one step body: with the per-core detectors, or without
+// them (timing only). The system.h entry points — characterization,
+// `c2b simulate`, the figure benches — measure C-AMAT; design replay in the
+// DSE layer is timing-only, because a design's score is its simulated
+// execution time alone (the paper measures concurrency once, when it
+// characterizes the application). Both modes do the same kernel work
+// otherwise and publish identical telemetry.
+//
 // Members advance in lockstep over the shared trace streams: every member
 // is driven to a common, monotonically growing record target before any
 // member moves past it. Members therefore stay within ~one chunk of each
@@ -44,16 +54,24 @@ struct BatchKernelStats {
   }
 };
 
+/// Whether a replay measures C-AMAT.
+enum class ReplayMode {
+  kWithCamat,   ///< run the per-core C-AMAT detectors; CoreResult::camat is filled
+  kTimingOnly,  ///< no detectors; CoreResult::camat stays default-constructed
+};
+
 /// Simulate `configs.size()` members in lockstep; member k runs
 /// configs[k] over cursors[k]. Members may share cursor sources (e.g.
 /// ChunkCursors over one TraceChunkStore stream) — each member owns its
 /// *cursor objects*, never shares them. Returns one SystemResult per
 /// member, each bit-identical to simulate_system_reference on that member
-/// alone. `kernel_stats`, when non-null, accumulates (+=) the kernel
-/// accounting. Throws on an invalid config or an empty trace.
+/// alone — on every field under kWithCamat, on every field but
+/// CoreResult::camat under kTimingOnly. `kernel_stats`, when non-null,
+/// accumulates (+=) the kernel accounting. Throws on an invalid config or
+/// an empty trace.
 std::vector<SystemResult> simulate_system_batched(
     const std::vector<SystemConfig>& configs,
-    const std::vector<std::vector<TraceCursor*>>& cursors,
+    const std::vector<std::vector<TraceCursor*>>& cursors, ReplayMode mode,
     BatchKernelStats* kernel_stats = nullptr);
 
 }  // namespace c2b::sim

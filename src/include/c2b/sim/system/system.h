@@ -49,7 +49,11 @@ struct CoreResult {
   std::uint64_t cycles = 0;  ///< retirement cycle of the last instruction
   double cpi = 0.0;
   double f_mem = 0.0;
-  TimelineMetrics camat;  ///< measured by the per-core detector
+  /// Measured by the per-core detector. Empty (default-constructed,
+  /// accesses == 0) in timing-only results: simulate_system_batched under
+  /// ReplayMode::kTimingOnly, which is how design replay runs. The entry
+  /// points below always measure it.
+  TimelineMetrics camat;
 };
 
 struct SystemResult {

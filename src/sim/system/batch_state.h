@@ -11,6 +11,11 @@
 // function template over the concrete cursor type: the kernel instantiates
 // it with ChunkCursor (a final class, so peek/advance/compute_run
 // devirtualize) and with the abstract TraceCursor for every other source.
+//
+// C-AMAT detection runs only where it is read: step_core's `kCamat`
+// parameter compiles the detector calls in or out. Design replay (the DSE
+// layer) is timing-only and builds no detectors; the fold cadence and its
+// ROB-occupancy sample are kept in both modes, so telemetry is identical.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,6 +29,7 @@ namespace c2b::sim::detail {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 /// Detector fold cadence, matching the seed kernel's `(cycle & 0xFFF)`.
+/// Timing-only replay keeps the cadence for the ROB-occupancy sample.
 constexpr std::uint64_t kDetectorStride = 0x1000;
 
 /// One ROB ring entry: `count` program-order-adjacent instructions that all
@@ -56,9 +62,9 @@ struct CoreLanes {
   /// so `rob_max_completion[c] <= cycle` conservatively proves every live
   /// entry is retireable (staleness only delays the pipelined fast path).
   std::vector<std::uint64_t> rob_max_completion;
-  std::vector<CamatDetector> detectors;
+  std::vector<CamatDetector> detectors;  ///< one per core; empty when timing-only
 
-  CoreLanes(std::size_t cores, std::uint32_t rob_size)
+  CoreLanes(std::size_t cores, std::uint32_t rob_size, bool camat)
       : rob_capacity(rob_size),
         rob(cores * static_cast<std::size_t>(rob_size)),
         rob_head(cores, 0),
@@ -70,7 +76,7 @@ struct CoreLanes {
         last_retire_cycle(cores, 0),
         last_detector_fold(cores, 0),
         rob_max_completion(cores, 0),
-        detectors(cores) {}
+        detectors(camat ? cores : 0) {}
 
   RobGroup& front_group(std::size_t c) { return rob[c * rob_capacity + rob_head[c]]; }
   void pop_group(std::size_t c) {
@@ -135,29 +141,45 @@ struct MemberState {
   /// ROB occupancy at each detector fold (sim.core.rob_occupancy).
   obs::LocalHistogram rob_occupancy{0.0, 256.0, 64};
 
-  MemberState(const SystemConfig& config, std::size_t cores)
+  MemberState(const SystemConfig& config, std::size_t cores, bool camat)
       : hierarchy(config.hierarchy),
         width(config.core.issue_width),
         rob_size(config.core.rob_size),
         fus(config.core.functional_units),
         n(cores),
-        lanes(cores, config.core.rob_size) {}
+        lanes(cores, config.core.rob_size, camat) {}
 
   /// Publish the run's telemetry — kernel counters, the ROB histogram and
   /// the hierarchy's counters and histograms — to the registry (call
   /// exactly once, when the run finishes).
   void flush_kernel_counters();
 
-  /// Final per-member SystemResult; folds the detectors (one-shot).
+  /// Final per-member SystemResult; folds the detectors when there are
+  /// any (one-shot), else leaves every CoreResult::camat empty.
   SystemResult build_result();
 };
+
+/// Periodic detector fold: every kDetectorStride cycles, fold finished
+/// cycles into core `c`'s detector so its live window stays bounded, and
+/// sample the ROB occupancy. Any watermark <= `cycle` is safe (every future
+/// access starts at or after `cycle`), and the fold cadence does not
+/// affect the finalized metrics (see batched.cpp's header comment).
+template <bool kCamat>
+inline void fold_detector(MemberState& s, const std::uint64_t cycle, const std::size_t c) {
+  CoreLanes& lanes = s.lanes;
+  if (cycle - lanes.last_detector_fold[c] < kDetectorStride) return;
+  lanes.last_detector_fold[c] = cycle;
+  if constexpr (kCamat) lanes.detectors[c].advance(cycle);
+  s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
+}
 
 /// One event-kernel step for core `c` of member `s` at `cycle`: retire,
 /// compute fast paths, issue, detector fold. Returns the next cycle this
 /// core can act (kNever when it is done). The caller owns event ordering
 /// and must deliver events in ascending (cycle, core-index) order — the
-/// seed kernel's per-cycle core scan order.
-template <typename Cursor>
+/// seed kernel's per-cycle core scan order. `kCamat` false compiles out
+/// every detector call (timing-only replay; `s` then has no detectors).
+template <bool kCamat, typename Cursor>
 inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64_t cycle,
                                const std::size_t c) {
   CoreLanes& lanes = s.lanes;
@@ -197,11 +219,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       lanes.retired[c] += batches * width;
       const std::uint64_t resume = cycle + batches;
       lanes.last_retire_cycle[c] = resume;
-      if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-        lanes.last_detector_fold[c] = cycle;
-        lanes.detectors[c].advance(cycle);
-        s.rob_occupancy.record(0.0);
-      }
+      fold_detector<kCamat>(s, cycle, c);
       // Resume later instead of continuing in place: cores with earlier
       // pending events must reach the hierarchy first.
       return resume;
@@ -257,11 +275,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
                      static_cast<std::uint32_t>((first_group + 1) * width - first_push));
       for (std::uint64_t g = first_group + 1; g < batches; ++g)
         lanes.rob_push(c, cycle + g + 1, width);
-      if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-        lanes.last_detector_fold[c] = cycle;
-        lanes.detectors[c].advance(cycle);
-        s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
-      }
+      fold_detector<kCamat>(s, cycle, c);
       return cycle + batches;
     }
   }
@@ -291,8 +305,9 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
       completion = outcome.completion_cycle;
       lanes.last_mem_completion[c] = completion;
       ++lanes.memory_accesses[c];
-      lanes.detectors[c].record_access(outcome.start_cycle, outcome.hit_cycles,
-                                       outcome.miss_penalty_cycles);
+      if constexpr (kCamat)
+        lanes.detectors[c].record_access(outcome.start_cycle, outcome.hit_cycles,
+                                         outcome.miss_penalty_cycles);
     }
     lanes.rob_push(c, completion);
     cursor.advance();
@@ -301,15 +316,7 @@ inline std::uint64_t step_core(MemberState& s, Cursor& cursor, const std::uint64
     ++issued_now;
   }
 
-  // Periodically fold finished cycles into the detector's counters so its
-  // live window stays bounded. Any watermark <= `cycle` is safe (every
-  // future access starts at or after `cycle`), and the fold cadence does
-  // not affect the finalized metrics (see batched.cpp's header comment).
-  if (cycle - lanes.last_detector_fold[c] >= kDetectorStride) {
-    lanes.last_detector_fold[c] = cycle;
-    lanes.detectors[c].advance(cycle);
-    s.rob_occupancy.record(static_cast<double>(lanes.rob_count[c]));
-  }
+  fold_detector<kCamat>(s, cycle, c);
 
   // ---- Next wake: the earliest cycle this core can act again ----
   std::uint64_t wake = kNever;

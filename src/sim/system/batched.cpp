@@ -50,6 +50,11 @@
 // consecutive kCompute records (see detail::step_core in batch_state.h);
 // they touch no shared state, so cross-core ordering is preserved.
 //
+// The detector only observes: no kernel decision reads it. So the
+// timing-only instantiation (ReplayMode::kTimingOnly, no detectors)
+// takes exactly the same steps and produces the same timing, hierarchy
+// and telemetry as the C-AMAT one; only CoreResult::camat stays empty.
+//
 // Members of one batch share no simulator state, so interleaving their
 // events in lockstep rounds is invisible to each member's result.
 
@@ -77,7 +82,7 @@ SystemResult MemberState::build_result() {
     r.f_mem = lanes.retired[c] == 0 ? 0.0
                                     : static_cast<double>(lanes.memory_accesses[c]) /
                                           static_cast<double>(lanes.retired[c]);
-    r.camat = lanes.detectors[c].finalize();
+    if (!lanes.detectors.empty()) r.camat = lanes.detectors[c].finalize();
     result.cycles = std::max(result.cycles, r.cycles);
     result.cores.push_back(std::move(r));
   }
@@ -147,9 +152,10 @@ const ArgminFn g_argmin_wide = pick_argmin();
 /// the chunk store keeps a shared stream's resident window minimal.
 constexpr std::uint64_t kLockstepRecords = TraceChunkStore::kDefaultChunkRecords;
 
-/// The kernel loop, templated over the concrete cursor type so step_core's
-/// peek/advance/compute_run/skip calls devirtualize for ChunkCursor.
-template <typename Cursor>
+/// The kernel loop, templated over the detector switch and the concrete
+/// cursor type so step_core's peek/advance/compute_run/skip calls
+/// devirtualize for ChunkCursor.
+template <bool kCamat, typename Cursor>
 std::vector<SystemResult> run_kernel(const std::vector<SystemConfig>& configs,
                                      const std::vector<std::vector<Cursor*>>& cursors,
                                      BatchKernelStats* kernel_stats) {
@@ -158,7 +164,7 @@ std::vector<SystemResult> run_kernel(const std::vector<SystemConfig>& configs,
   members.reserve(k);
   std::vector<std::size_t> offset(k + 1, 0);
   for (std::size_t m = 0; m < k; ++m) {
-    members.emplace_back(configs[m], cursors[m].size());
+    members.emplace_back(configs[m], cursors[m].size(), kCamat);
     offset[m + 1] = offset[m] + cursors[m].size();
   }
   // Flat next-event cycles; member m's cores occupy [offset[m], offset[m+1]).
@@ -191,7 +197,7 @@ std::vector<SystemResult> run_kernel(const std::vector<SystemConfig>& configs,
           break;
         }
         if (s.consumed >= target) break;
-        lane[c] = step_core(s, *cursors[m][c], cycle, c);
+        lane[c] = step_core<kCamat>(s, *cursors[m][c], cycle, c);
       }
       if (finished)
         s.flush_kernel_counters();
@@ -222,6 +228,17 @@ std::vector<SystemResult> run_kernel(const std::vector<SystemConfig>& configs,
   return results;
 }
 
+/// Picks the detector switch once per call.
+template <typename Cursor>
+std::vector<SystemResult> run_kernel_for(ReplayMode mode,
+                                         const std::vector<SystemConfig>& configs,
+                                         const std::vector<std::vector<Cursor*>>& cursors,
+                                         BatchKernelStats* kernel_stats) {
+  return mode == ReplayMode::kWithCamat
+             ? run_kernel<true, Cursor>(configs, cursors, kernel_stats)
+             : run_kernel<false, Cursor>(configs, cursors, kernel_stats);
+}
+
 }  // namespace
 
 std::size_t argmin_u64_wide(const std::uint64_t* values, std::size_t count) {
@@ -232,7 +249,8 @@ std::size_t argmin_u64_wide(const std::uint64_t* values, std::size_t count) {
 
 std::vector<SystemResult> simulate_system_batched(
     const std::vector<SystemConfig>& configs,
-    const std::vector<std::vector<TraceCursor*>>& cursors, BatchKernelStats* kernel_stats) {
+    const std::vector<std::vector<TraceCursor*>>& cursors, ReplayMode mode,
+    BatchKernelStats* kernel_stats) {
   C2B_REQUIRE(!configs.empty(), "need at least one batch member");
   C2B_REQUIRE(configs.size() == cursors.size(), "one cursor set per config");
   C2B_SPAN("sim/simulate_system");
@@ -253,11 +271,11 @@ std::vector<SystemResult> simulate_system_batched(
     chunk_cursors[m].reserve(cursors[m].size());
     for (TraceCursor* cursor : cursors[m]) {
       auto* chunk = dynamic_cast<ChunkCursor*>(cursor);
-      if (chunk == nullptr) return detail::run_kernel<TraceCursor>(configs, cursors, kernel_stats);
+      if (chunk == nullptr) return detail::run_kernel_for(mode, configs, cursors, kernel_stats);
       chunk_cursors[m].push_back(chunk);
     }
   }
-  return detail::run_kernel<ChunkCursor>(configs, chunk_cursors, kernel_stats);
+  return detail::run_kernel_for(mode, configs, chunk_cursors, kernel_stats);
 }
 
 }  // namespace c2b::sim

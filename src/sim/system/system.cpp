@@ -7,7 +7,8 @@
 #include "c2b/sim/system/batched.h"
 
 // The per-point entry points: K=1 calls into the one replay kernel
-// (simulate_system_batched, batched.cpp).
+// (simulate_system_batched, batched.cpp), always measuring C-AMAT — their
+// callers (characterization, `c2b simulate`, the figure benches) read it.
 
 namespace c2b::sim {
 
@@ -44,7 +45,8 @@ double SystemResult::mean_cpi() const noexcept {
 
 SystemResult simulate_system_streaming(const SystemConfig& config,
                                        const std::vector<TraceCursor*>& cursors) {
-  return std::move(simulate_system_batched({config}, {cursors}).front());
+  return std::move(
+      simulate_system_batched({config}, {cursors}, ReplayMode::kWithCamat).front());
 }
 
 SystemResult simulate_system(const SystemConfig& config,

@@ -84,7 +84,7 @@ TEST(SimulateBatched, MembersMatchPerPointRunsBitwise) {
   }
 
   const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched(configs, member_cursors);
+      sim::simulate_system_batched(configs, member_cursors, sim::ReplayMode::kWithCamat);
   ASSERT_EQ(batched.size(), 3u);
   for (std::size_t m = 0; m < 3; ++m) {
     const sim::SystemResult ref = reference_run(configs[m], kSeed, kRecords);
@@ -106,7 +106,7 @@ TEST(SimulateBatched, SingleMemberDegeneratesToStreaming) {
   store.set_readers(1);
   ChunkCursor c0(store, ids[0]), c1(store, ids[1]);
   const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched({config}, {{&c0, &c1}});
+      sim::simulate_system_batched({config}, {{&c0, &c1}}, sim::ReplayMode::kWithCamat);
   ASSERT_EQ(batched.size(), 1u);
   std::vector<std::unique_ptr<TraceCursor>> owned;
   std::vector<TraceCursor*> cursors;
@@ -137,8 +137,8 @@ TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
   store.set_readers(2);
   ChunkCursor a(store, id), b(store, id);
   sim::BatchKernelStats kernel;
-  const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched(configs, {{&a}, {&b}}, &kernel);
+  const std::vector<sim::SystemResult> batched = sim::simulate_system_batched(
+      configs, {{&a}, {&b}}, sim::ReplayMode::kWithCamat, &kernel);
   EXPECT_GE(kernel.simd_lanes_active, 2 * (kRecords / 4096));
   for (std::size_t m = 0; m < 2; ++m)
     expect_results_bitwise_equal(batched[m], reference_run(configs[m], kSeed, kRecords));
@@ -151,8 +151,10 @@ TEST(SimulateBatched, RejectsMalformedInputs) {
       store.add_stream(std::make_unique<ZipfStreamGenerator>(zipf_params(99)), 100);
   store.set_readers(1);
   ChunkCursor cursor(store, id);
-  EXPECT_THROW(sim::simulate_system_batched({}, {}), std::invalid_argument);
-  EXPECT_THROW(sim::simulate_system_batched({config}, {{&cursor}, {&cursor}}),
+  EXPECT_THROW(sim::simulate_system_batched({}, {}, sim::ReplayMode::kWithCamat),
+               std::invalid_argument);
+  EXPECT_THROW(sim::simulate_system_batched({config}, {{&cursor}, {&cursor}},
+                                            sim::ReplayMode::kWithCamat),
                std::invalid_argument);
 }
 

@@ -123,7 +123,7 @@ TEST(BatchEquivalence, LongStreamResidencyStaysBounded) {
     member_cursors[m] = {&cursors.back()};
   }
   const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched(configs, member_cursors);
+      sim::simulate_system_batched(configs, member_cursors, sim::ReplayMode::kWithCamat);
 
   // One lockstep quantum of spread across members -> at most a few chunks
   // resident; the stream itself is ~49 chunks.

@@ -8,14 +8,18 @@
 // holds exactly one sample per event it describes. Each scenario replays
 // concurrently on pools of 1, 2 and 8 threads, so a member whose telemetry
 // is flushed twice or never, or a flush lost to a race, breaks the ledger.
-// Complements the `kernel` oracle family; this suite drives the PBT engine
-// so failures shrink and replay from a one-line repro.
+// The same property runs in both replay modes: with C-AMAT (every field
+// bitwise) and timing-only, the mode design replay ships (every field but
+// camat bitwise, camat empty). A last test pins that the two modes publish
+// identical telemetry. Complements the `kernel` oracle family; this suite
+// drives the PBT engine so failures shrink and replay from a one-line repro.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -140,7 +144,8 @@ std::unique_ptr<TraceGenerator> make_stream(const KernelScenario& s, std::uint32
 /// One full batched replay over a fresh shared chunk store: per-core
 /// streams generated from the scenario's workload, width x cores
 /// ChunkCursors.
-std::vector<sim::SystemResult> replay(const KernelScenario& s, sim::BatchKernelStats* kernel) {
+std::vector<sim::SystemResult> replay(const KernelScenario& s, sim::ReplayMode mode,
+                                      sim::BatchKernelStats* kernel) {
   TraceChunkStore store;
   std::vector<std::size_t> stream_ids;
   stream_ids.reserve(s.cores);
@@ -158,13 +163,13 @@ std::vector<sim::SystemResult> replay(const KernelScenario& s, sim::BatchKernelS
     }
   }
 
-  return sim::simulate_system_batched(s.configs, member_cursors, kernel);
+  return sim::simulate_system_batched(s.configs, member_cursors, mode, kernel);
 }
 
 /// `threads` concurrent replays on a pool of `threads` executors, each over
 /// its own chunk store. The registry is reset first, so afterwards it holds
 /// exactly these replays' flushes.
-BatchRun run_batch(const KernelScenario& s, std::size_t threads) {
+BatchRun run_batch(const KernelScenario& s, std::size_t threads, sim::ReplayMode mode) {
   BatchRun run;
   run.threads = threads;
   run.replicas.resize(threads);
@@ -174,7 +179,7 @@ BatchRun run_batch(const KernelScenario& s, std::size_t threads) {
   obs::Registry& registry = obs::Registry::global();
   if (live) registry.reset_values();
   exec::ThreadPool::global().parallel_for(0, threads, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) run.replicas[r] = replay(s, &run.kernel[r]);
+    for (std::size_t r = lo; r < hi; ++r) run.replicas[r] = replay(s, mode, &run.kernel[r]);
   });
   exec::set_thread_count(0);
   if (live) {
@@ -192,9 +197,11 @@ BatchRun run_batch(const KernelScenario& s, std::size_t threads) {
   return run;
 }
 
-/// First field-level difference between two member results (bit patterns
-/// for doubles — the contract is bit-identity, not closeness).
-std::optional<std::string> diff_member(const sim::SystemResult& a, const sim::SystemResult& b) {
+/// First field-level difference between a replayed member `a` and its
+/// reference `b` (bit patterns for doubles — the contract is bit-identity,
+/// not closeness). A timing-only `a` must instead carry an empty camat.
+std::optional<std::string> diff_member(const sim::SystemResult& a, const sim::SystemResult& b,
+                                       sim::ReplayMode mode) {
   auto u64 = [](const char* label, std::uint64_t x, std::uint64_t y,
                 std::optional<std::string>& diff) {
     if (!diff && x != y) {
@@ -218,13 +225,17 @@ std::optional<std::string> diff_member(const sim::SystemResult& a, const sim::Sy
     u64("core.cycles", x.cycles, y.cycles, diff);
     f64("core.cpi", x.cpi, y.cpi, diff);
     f64("core.f_mem", x.f_mem, y.f_mem, diff);
-    u64("camat.accesses", x.camat.accesses, y.camat.accesses, diff);
-    u64("camat.misses", x.camat.misses, y.camat.misses, diff);
-    u64("camat.pure_misses", x.camat.pure_misses, y.camat.pure_misses, diff);
-    u64("camat.memory_active_cycles", x.camat.memory_active_cycles,
-        y.camat.memory_active_cycles, diff);
-    f64("camat.amat_value", x.camat.amat_value, y.camat.amat_value, diff);
-    f64("camat.camat_value", x.camat.camat_value, y.camat.camat_value, diff);
+    if (mode == sim::ReplayMode::kTimingOnly) {
+      u64("timing-only camat.accesses", x.camat.accesses, 0, diff);
+    } else {
+      u64("camat.accesses", x.camat.accesses, y.camat.accesses, diff);
+      u64("camat.misses", x.camat.misses, y.camat.misses, diff);
+      u64("camat.pure_misses", x.camat.pure_misses, y.camat.pure_misses, diff);
+      u64("camat.memory_active_cycles", x.camat.memory_active_cycles,
+          y.camat.memory_active_cycles, diff);
+      f64("camat.amat_value", x.camat.amat_value, y.camat.amat_value, diff);
+      f64("camat.camat_value", x.camat.camat_value, y.camat.camat_value, diff);
+    }
     if (diff) {
       *diff = "core " + std::to_string(c) + " " + *diff;
       return diff;
@@ -271,16 +282,18 @@ std::optional<std::string> check_ledger(const BatchRun& run) {
   return failure;
 }
 
-TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
+/// Every member of every replay at pool widths {1, 2, 8} matches the
+/// reference in `mode`'s fields, with a balanced ledger at each width.
+check::CheckResult check_kernel_vs_reference(const char* name, sim::ReplayMode mode) {
   check::Property<KernelScenario> property;
-  property.name = "kernel_vs_reference";
+  property.name = name;
   property.generate = gen_kernel_scenario;
   property.print = print_kernel_scenario;
   property.shrink = shrink_kernel_scenario;
-  property.holds = [](const KernelScenario& s) -> std::optional<std::string> {
+  property.holds = [mode](const KernelScenario& s) -> std::optional<std::string> {
     std::vector<BatchRun> runs;
     for (const std::size_t threads : {1, 2, 8}) {
-      const BatchRun& run = runs.emplace_back(run_batch(s, threads));
+      const BatchRun& run = runs.emplace_back(run_batch(s, threads, mode));
       for (std::size_t r = 0; r < threads; ++r) {
         if (run.replicas[r].size() != s.width) return std::string("result count mismatch");
         if (run.kernel[r].simd_steps == 0) return std::string("kernel reported zero steps");
@@ -296,7 +309,7 @@ TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
       const sim::SystemResult reference = sim::simulate_system_reference(s.configs[m], traces);
       for (const BatchRun& run : runs) {
         for (std::size_t r = 0; r < run.threads; ++r) {
-          if (auto diff = diff_member(run.replicas[r][m], reference))
+          if (auto diff = diff_member(run.replicas[r][m], reference, mode))
             return "member " + std::to_string(m) + " (threads " + std::to_string(run.threads) +
                    ", replay " + std::to_string(r) + "): " + *diff;
         }
@@ -307,9 +320,95 @@ TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
 
   check::CheckOptions options;
   options.cases = 40;
-  const check::CheckResult result = check::check(property, check::options_from_env(options));
+  return check::check(property, check::options_from_env(options));
+}
+
+TEST(KernelEquivalenceProperty, MatchesReferenceAtRandomWidths) {
+  const check::CheckResult result =
+      check_kernel_vs_reference("kernel_vs_reference", sim::ReplayMode::kWithCamat);
   EXPECT_TRUE(result.passed) << result.summary();
   EXPECT_GT(result.cases_run, 0u);
+}
+
+TEST(KernelEquivalenceProperty, TimingOnlyMatchesReferenceAtRandomWidths) {
+  const check::CheckResult result =
+      check_kernel_vs_reference("timing_only_vs_reference", sim::ReplayMode::kTimingOnly);
+  EXPECT_TRUE(result.passed) << result.summary();
+  EXPECT_GT(result.cases_run, 0u);
+}
+
+/// The registry after one replay: every sim.* and exec.batch.* counter, and
+/// the sample count, sum bits and buckets of the kernel's histograms.
+struct RegistryDelta {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> histogram_counts;
+  std::map<std::string, std::uint64_t> histogram_sum_bits;
+  std::map<std::string, std::vector<std::pair<double, std::uint64_t>>> histogram_buckets;
+};
+
+RegistryDelta replay_delta(const KernelScenario& s, sim::ReplayMode mode) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.reset_values();
+  sim::BatchKernelStats kernel;
+  (void)replay(s, mode, &kernel);
+  RegistryDelta delta;
+  for (const obs::MetricSample& sample : registry.snapshot()) {
+    const std::string& name = sample.name;
+    if (sample.kind == obs::MetricSample::Kind::kCounter &&
+        (name.starts_with("sim.") || name.starts_with("exec.batch.")))
+      delta.counters[name] = sample.count;
+    if (sample.kind == obs::MetricSample::Kind::kHistogram &&
+        (name == "sim.core.rob_occupancy" || name == "sim.l1.mshr_occupancy" ||
+         name == "sim.noc.round_trip_cycles" || name == "sim.dram.queue_depth")) {
+      delta.histogram_counts[name] = sample.count;
+      delta.histogram_sum_bits[name] = std::bit_cast<std::uint64_t>(sample.value);
+      delta.histogram_buckets[name] = sample.buckets;
+    }
+  }
+  return delta;
+}
+
+TEST(KernelTelemetryIdentity, TimingOnlyRegistryDeltasMatchCamatReplay) {
+  // A 4-core, 4-member chunk-store batch long enough to fold the detectors
+  // many times and to reach L2, DRAM and the NoC.
+  KernelScenario s;
+  s.spec = make_fluidanimate_like_workload();
+  s.stream_seed = 17;
+  s.window = 30'000;
+  s.cores = 4;
+  s.width = 4;
+  const std::uint32_t issues[] = {1, 2, 4, 4};
+  const std::uint32_t robs[] = {16, 64, 128, 256};
+  for (std::size_t m = 0; m < s.width; ++m) {
+    sim::SystemConfig config;
+    config.hierarchy.cores = s.cores;
+    config.hierarchy.l1_geometry.size_bytes = 4 * 1024;
+    config.hierarchy.l2_geometry.size_bytes = 64 * 1024;
+    config.core.issue_width = issues[m];
+    config.core.rob_size = robs[m];
+    s.configs.push_back(config);
+  }
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const RegistryDelta camat = replay_delta(s, sim::ReplayMode::kWithCamat);
+  const RegistryDelta timing = replay_delta(s, sim::ReplayMode::kTimingOnly);
+  obs::set_enabled(was_enabled);
+
+  EXPECT_EQ(timing.counters, camat.counters);
+  EXPECT_EQ(timing.histogram_counts, camat.histogram_counts);
+  EXPECT_EQ(timing.histogram_sum_bits, camat.histogram_sum_bits);
+  EXPECT_EQ(timing.histogram_buckets, camat.histogram_buckets);
+  // Non-vacuous: the batch exercised the kernel and every histogram.
+  const auto value_of = [](const std::map<std::string, std::uint64_t>& values,
+                           const std::string& name) -> std::uint64_t {
+    const auto it = values.find(name);
+    return it == values.end() ? 0 : it->second;
+  };
+  EXPECT_GT(value_of(camat.counters, "exec.batch.simd.steps"), 0u);
+  for (const char* name : {"sim.core.rob_occupancy", "sim.l1.mshr_occupancy",
+                           "sim.noc.round_trip_cycles", "sim.dram.queue_depth"})
+    EXPECT_GT(value_of(camat.histogram_counts, name), 0u) << name;
 }
 
 }  // namespace

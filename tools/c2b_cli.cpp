@@ -18,10 +18,12 @@
 //       Generate a trace and save it in the binary trace format.
 //   c2b aps [--workload <name>] [--instructions N] [--per-core-cap N]
 //           [--characterize-instructions N] [--radius R] [--area A]
-//           [--shared-area A] [--seed S] [--repeat N]
+//           [--shared-area A] [--seed S] [--repeat N] [--large-axes]
 //       Run the APS design-space exploration (characterize, analytic
-//       solve, neighborhood simulation) on a small grid and print the
-//       chosen design plus the run's simulation/memory-access totals.
+//       solve, neighborhood simulation) on a small grid (or, with
+//       --large-axes, the same preset grid `c2b dse --large-axes` sweeps)
+//       and print the chosen design plus the run's simulation/memory-access
+//       totals.
 //       --repeat re-runs the whole flow N times: repeats are served by the
 //       memoized simulation cache and must match the first run bit for bit
 //       (watch exec.simcache.hit in --metrics-out).
@@ -544,8 +546,7 @@ std::optional<DseContext> sweep_context(const Args& args, const char* command) {
 
 /// The small buildable 64-point grid both sweep commands default to, so
 /// `c2b aps` (analytic narrowing) and `c2b dse` (full factorial) are
-/// directly comparable. The paper-scale space is bench territory; `c2b dse
-/// --large-axes` swaps in the Fig.-12-scale preset instead.
+/// directly comparable.
 DseAxes smoke_axes() {
   DseAxes axes;
   axes.a0 = {1.0, 4.0};
@@ -555,6 +556,13 @@ DseAxes smoke_axes() {
   axes.issue = {2, 4};
   axes.rob = {32, 64};
   return axes;
+}
+
+/// The grid `c2b aps` and `c2b dse` explore: the smoke grid, or with
+/// --large-axes the Fig.-12-scale preset.
+GridSpace sweep_space(const Args& args) {
+  const bool large_axes = args.get("large-axes", std::string("false")) == "true";
+  return make_design_space(large_axes ? make_large_axes() : smoke_axes());
 }
 
 int cmd_aps(const Args& args) {
@@ -568,13 +576,13 @@ int cmd_aps(const Args& args) {
   options.characterize.instructions =
       static_cast<std::uint64_t>(args.get("characterize-instructions", 60'000LL));
   const auto repeat = args.get("repeat", 1LL);
+  const GridSpace space = sweep_space(args);
   args.finish();
   if (repeat < 1) {
     std::fprintf(stderr, "aps: --repeat must be >= 1\n");
     return 2;
   }
 
-  const GridSpace space = make_design_space(smoke_axes());
   journal_sweep_config("aps", *context, space.size());
   ApsResult aps = run_aps(*context, space, options);
   // Re-running the same neighborhood hits the memoized simulation cache;
@@ -618,10 +626,9 @@ int cmd_dse(const Args& args) {
   const WorkloadSpec& spec = context->workload;
   const bool pareto = args.has("pareto");
   args.mark_used("pareto");
-  const bool large_axes = args.get("large-axes", std::string("false")) == "true";
+  const GridSpace space = sweep_space(args);
   args.finish();
 
-  const GridSpace space = make_design_space(large_axes ? make_large_axes() : smoke_axes());
   journal_sweep_config("dse", *context, space.size());
 
   if (pareto) {
