@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "c2b/aps/surrogate.h"
@@ -444,10 +446,11 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   if (journal != nullptr) peeled.assign(points.size(), 0);
 
   // Peel sim-cache hits up front so only genuinely new designs reach the
-  // batching machinery; classify the misses by core count. Within one
-  // context the trace-equivalence key varies only through N (see
-  // trace_class_key), so N *is* the class — std::map keeps class order
-  // deterministic and independent of the point order hash.
+  // batching machinery, fold equal-key misses onto one representative, and
+  // classify the representatives by core count. Within one context the
+  // trace-equivalence key varies only through N (see trace_class_key), so
+  // N *is* the class — std::map keeps class order deterministic and
+  // independent of the point order hash.
   std::vector<sim::SystemConfig> configs;
   configs.reserve(points.size());
   std::vector<std::string> keys(points.size());
@@ -462,6 +465,13 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   std::uint64_t peel_disk_hits = 0;
   const auto cached = cache.find_many(keys, &peel_disk_hits);
   local.cache_hits_disk = static_cast<std::size_t>(peel_disk_hits);
+  // Equal simulation keys simulate bit-identically (the SimCache contract),
+  // so the first miss of each key in point order is the only one replayed;
+  // later ones are (alias, representative) pairs resolved after the unit
+  // sweep. Points without a key (no workload uid) are never folded. The
+  // fold is serial, so the unit layout still depends only on the point list.
+  std::unordered_map<std::string_view, std::size_t> representative_of;
+  std::vector<std::pair<std::size_t, std::size_t>> aliases;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (cached[i].has_value()) {
       // Replayed accesses never reach sim.l1.*; this counter closes the
@@ -473,15 +483,25 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
       if (!peeled.empty()) peeled[i] = 1;
       continue;
     }
+    if (!keys[i].empty()) {
+      const auto [it, first] = representative_of.try_emplace(keys[i], i);
+      if (!first) {
+        aliases.emplace_back(i, it->second);
+        continue;
+      }
+    }
     classes[configs[i].hierarchy.cores].push_back(i);
   }
+  local.members = points.size() - local.cache_hits;
+  local.simulated = local.members - aliases.size();
 
   if (journal != nullptr)
     journal->emit(obs::JournalEvent("cache_peel")
                       .count("points", points.size())
                       .count("hits", local.cache_hits)
                       .count("disk_hits", local.cache_hits_disk)
-                      .count("misses", points.size() - local.cache_hits));
+                      .count("misses", local.members)
+                      .count("shared", aliases.size()));
   if (local.cache_hits > 0)
     if (obs::ProgressMeter* progress = obs::active_progress())
       progress->advance(static_cast<double>(local.cache_hits));
@@ -498,7 +518,6 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
     (void)cores;
     const std::size_t class_index = class_count++;
     ++local.classes;
-    local.members += members.size();
     std::size_t begin = 0;
     while (begin < members.size()) {
       std::size_t take = kMaxBatchMembers;
@@ -610,6 +629,17 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
   }
   cache.insert_many(inserts);
 
+  // Aliases take their representative's outcome. Their accesses never reach
+  // sim.l1.*; exec.batch.shared_accesses closes the ledger (see the header).
+  std::uint64_t shared_accesses = 0;
+  for (const auto& [alias, representative] : aliases) {
+    outcomes[alias] = outcomes[representative];
+    shared_accesses += outcomes[alias].memory_accesses;
+  }
+  if (!aliases.empty())
+    if (obs::ProgressMeter* progress = obs::active_progress())
+      progress->advance(static_cast<double>(aliases.size()));
+
   // Per-point outcomes, emitted serially in point order after the scatter —
   // this is the stream `c2b report` builds its objective heatmap from.
   if (journal != nullptr)
@@ -628,6 +658,8 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
 
   C2B_COUNTER_ADD("exec.batch.classes", local.classes);
   C2B_COUNTER_ADD("exec.batch.members", local.members);
+  C2B_COUNTER_ADD("exec.batch.simulated", local.simulated);
+  C2B_COUNTER_ADD("exec.batch.shared_accesses", shared_accesses);
   C2B_COUNTER_ADD("exec.batch.chunks_shared", local.chunks_shared);
   C2B_COUNTER_ADD("exec.batch.regen_avoided_accesses", local.regen_avoided_accesses);
   // exec.batch.simd.* are bumped inside the replay kernel itself.

@@ -494,10 +494,11 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
   }
 
   // --- telemetry ledger ----------------------------------------------------
-  // sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses must equal
-  // the demand accesses the run reports, with replays covering the cached
-  // second run. Needs live telemetry; skipped silently under
-  // obs::set_enabled(false).
+  // sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses +
+  // exec.batch.shared_accesses must equal the demand accesses the run
+  // reports, with replays covering the cached second run and shared
+  // accesses the points folded onto an equal-key member. Needs live
+  // telemetry; skipped silently under obs::set_enabled(false).
   if (C2B_OBS_ACTIVE()) {
     ExecStateGuard guard;
     exec::SimCache& cache = exec::SimCache::global();
@@ -522,13 +523,14 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
       const std::uint64_t misses = registry.counter("sim.l1.miss").value();
       const std::uint64_t replayed =
           registry.counter("exec.simcache.replayed_accesses").value();
+      const std::uint64_t shared = registry.counter("exec.batch.shared_accesses").value();
       ++report.checks;
-      if (hits + misses + replayed != reported) {
+      if (hits + misses + replayed + shared != reported) {
         std::ostringstream os;
         os << "ledger #" << i << " (" << print_dse_scenario(scenario)
            << "): sim.l1.hit " << hits << " + sim.l1.miss " << misses
-           << " + replayed " << replayed << " = " << (hits + misses + replayed)
-           << " != reported accesses " << reported
+           << " + replayed " << replayed << " + shared " << shared << " = "
+           << (hits + misses + replayed + shared) << " != reported accesses " << reported
            << "; repro: " << repro_line(options.seed, 40'000 + i);
         report.failures.push_back(os.str());
       }
@@ -762,7 +764,8 @@ void check_batch_widths(const OracleOptions& options, OracleReport& report) {
 
 /// Random feasible design-point subset of a random DSE scenario (~70% of
 /// the grid, at least one point — gen_dse_scenario guarantees a feasible
-/// minimum exists).
+/// minimum exists), plus a repeat of one of its points appended last, so a
+/// whole-set run always folds an equal-key twin onto its representative.
 std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& scenario) {
   const GridSpace space = make_design_space(scenario.axes);
   std::vector<std::vector<double>> points;
@@ -775,6 +778,8 @@ std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& 
       if (points.empty() && design_feasible(scenario.context, point)) points.push_back(point);
     });
   }
+  const std::vector<double> twin = points[rng.uniform_below(points.size())];
+  points.push_back(twin);
   return points;
 }
 
@@ -783,7 +788,8 @@ std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& 
 /// over the whole set at every thread count, cold (cache off) and warm
 /// (cache populated by a whole-set run, then replayed whole and one point
 /// per call) — times and access counts bitwise, every point accounted for
-/// once, the telemetry ledger balanced.
+/// once, the twin folded rather than replayed, the telemetry ledger
+/// balanced.
 void check_design_sets(const OracleOptions& options, OracleReport& report) {
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
@@ -830,12 +836,13 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
       const std::uint64_t hits = registry.counter("sim.l1.hit").value();
       const std::uint64_t misses = registry.counter("sim.l1.miss").value();
       const std::uint64_t replayed = registry.counter("exec.simcache.replayed_accesses").value();
+      const std::uint64_t shared = registry.counter("exec.batch.shared_accesses").value();
       ++report.checks;
-      if (hits + misses + replayed != reported) {
+      if (hits + misses + replayed + shared != reported) {
         std::ostringstream os;
         os << where << " " << what << " ledger: sim.l1.hit " << hits << " + sim.l1.miss "
-           << misses << " + replayed " << replayed << " != reported accesses " << reported
-           << "; repro: " << repro;
+           << misses << " + replayed " << replayed << " + shared " << shared
+           << " != reported accesses " << reported << "; repro: " << repro;
         report.failures.push_back(os.str());
       }
     };
@@ -870,11 +877,13 @@ void check_design_sets(const OracleOptions& options, OracleReport& report) {
         report.failures.push_back(where + " " + what + ": " + *diff + "; repro: " + repro);
         break;
       }
-      if (stats.members + stats.cache_hits != points.size() || stats.cache_hits != 0) {
+      if (stats.members + stats.cache_hits != points.size() || stats.cache_hits != 0 ||
+          stats.simulated >= stats.members) {
         report.failures.push_back(
             where + " " + what + ": accounting off (members " + std::to_string(stats.members) +
-            " + hits " + std::to_string(stats.cache_hits) +
-            " with the cache disabled); repro: " + repro);
+            " + hits " + std::to_string(stats.cache_hits) + ", " +
+            std::to_string(stats.simulated) +
+            " simulated with the cache disabled and a twin appended); repro: " + repro);
       }
       std::uint64_t reported = 0;
       for (const BatchSimOutcome& o : outcomes) reported += o.memory_accesses;

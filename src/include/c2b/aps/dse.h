@@ -138,7 +138,8 @@ BatchSimOutcome simulate_design_time_reference(const DseContext& context,
 /// are emitted as exec.batch.* telemetry counters).
 struct BatchReplayStats {
   std::size_t classes = 0;     ///< trace-equivalence classes simulated
-  std::size_t members = 0;     ///< design points simulated via batched replay
+  std::size_t members = 0;     ///< points the sim cache did not serve; all resolved by batched replay
+  std::size_t simulated = 0;   ///< distinct simulation keys among members: the ones replayed
   std::size_t cache_hits = 0;  ///< points peeled off by the sim cache (either tier)
   std::size_t cache_hits_disk = 0;  ///< the subset of cache_hits served from the disk tier
   std::uint64_t chunks_shared = 0;            ///< extra consumers over generated chunks
@@ -151,6 +152,7 @@ struct BatchReplayStats {
   void merge(const BatchReplayStats& other) {
     classes += other.classes;
     members += other.members;
+    simulated += other.simulated;
     cache_hits += other.cache_hits;
     cache_hits_disk += other.cache_hits_disk;
     chunks_shared += other.chunks_shared;
@@ -191,11 +193,14 @@ struct SurrogateStats {
 /// function of the point list, so results are bit-identical at any thread
 /// count and batch width — and bit-identical to
 /// simulate_design_time_reference (the `kernel` oracle family enforces
-/// this). Results are bulk-inserted into exec::SimCache::global()
-/// afterwards; duplicate points in one call are simulated redundantly
-/// rather than cross-hitting mid-sweep. A cache hit replays the recorded
-/// access count without touching the simulator, so the telemetry ledger is
-/// sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses == reported
+/// this). Misses with equal simulation keys (the SimCache key: equal keys
+/// simulate bit-identically) are replayed once per call: the first in point
+/// order is the representative, the rest copy its outcome after the unit
+/// sweep. Points of a workload without a uid have no key and never fold.
+/// Results are bulk-inserted into exec::SimCache::global() afterwards, one
+/// insert per key. Neither a cache hit nor a folded point touches the
+/// simulator, so the telemetry ledger is sim.l1.hit + sim.l1.miss +
+/// exec.simcache.replayed_accesses + exec.batch.shared_accesses == reported
 /// accesses.
 std::vector<BatchSimOutcome> simulate_design_times_batched(
     const DseContext& context, const std::vector<std::vector<double>>& points,

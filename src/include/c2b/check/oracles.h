@@ -14,7 +14,8 @@
 //      bit-identical, warm sim-cache replay identity) on random DSE/APS
 //      scenarios instead of hand-picked ones;
 //   3. invariant registry — the telemetry ledger (sim.l1.hit + sim.l1.miss
-//      + exec.simcache.replayed_accesses == reported memory accesses),
+//      + exec.simcache.replayed_accesses + exec.batch.shared_accesses ==
+//      reported memory accesses),
 //      area conservation at every optimizer iterate (Eq. 12), and the
 //      model's structural bounds (C-AMAT <= AMAT, C >= 1, Pollack CPI
 //      monotone in area, time monotone in area at fixed N);
@@ -26,9 +27,10 @@
 //      chunk-store streams; then the DSE layer — the shipped
 //      simulate_design_times_batched, one point per call and whole sets at
 //      every thread count, vs simulate_design_time_reference on random
-//      design-point sets, times and access counts bitwise, cold and warm
-//      sim cache (each warm one-point call exactly one cache hit), with the
-//      telemetry ledger balanced;
+//      design-point sets (each with one equal-key twin appended, which a
+//      whole-set run must fold, not replay), times and access counts
+//      bitwise, cold and warm sim cache (each warm one-point call exactly
+//      one cache hit), with the telemetry ledger balanced;
 //   5. constraint ground truth — on random small spaces with finite
 //      power/bandwidth/NoC budgets, a serial full-factorial enumeration
 //      filtered Eq.-(12)-style by the constraint set is the oracle: the

@@ -44,16 +44,17 @@ struct RunReport {
   double class_wall_p50 = 0.0;
   double class_wall_p90 = 0.0;
   double class_wall_p99 = 0.0;
-  double simulated_members = 0.0;  ///< sum of members over completed classes
+  double simulated_members = 0.0;  ///< sum of members over completed work units
   double simulated_wall_ms = 0.0;  ///< sum of class wall times
 
   // --- cache/batch effectiveness (from `cache_peel` / `run_end`) ---
   double points = 0.0;             ///< design points entering the sweep
   double cache_hits = 0.0;         ///< points peeled by the sim cache (any tier)
   double cache_hits_disk = 0.0;    ///< the subset served by the disk tier
+  double shared = 0.0;             ///< misses folded onto an equal-key member in the same call
   double chunks_shared = 0.0;
   double regen_avoided_accesses = 0.0;
-  double est_saved_ms = 0.0;       ///< cache_hits × mean per-member sim wall
+  double est_saved_ms = 0.0;       ///< (cache_hits + shared) × mean per-member sim wall
   double est_saved_mem_ms = 0.0;   ///< attribution: memory-tier hits' share
   double est_saved_disk_ms = 0.0;  ///< attribution: disk-tier hits' share
   double batch_speedup = 1.0;      ///< (sim wall + est saved) / sim wall

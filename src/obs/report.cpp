@@ -84,6 +84,7 @@ RunReport build_report(const std::vector<JournalRecord>& records,
       report.points += record.num("points");
       report.cache_hits += record.num("hits");
       report.cache_hits_disk += record.num("disk_hits");
+      report.shared += record.num("shared");
     } else if (record.type == "cache_tiers") {
       report.cache_tiers_seen = true;
       report.disk_attached = record.num("disk_attached") != 0.0;
@@ -156,14 +157,14 @@ RunReport build_report(const std::vector<JournalRecord>& records,
   report.class_wall_p90 = exact_quantile(walls, 0.90);
   report.class_wall_p99 = exact_quantile(walls, 0.99);
 
-  if (report.simulated_members > 0.0 && report.cache_hits > 0.0) {
+  if (report.simulated_members > 0.0 && report.cache_hits + report.shared > 0.0) {
+    // A cache hit and a folded point each skip one simulation.
     const double per_member_ms = report.simulated_wall_ms / report.simulated_members;
-    report.est_saved_ms = report.cache_hits * per_member_ms;
-    // Attribute savings per tier: a disk hit and a memory hit each peel one
-    // simulation, so the split follows the hit counts.
+    report.est_saved_ms = (report.cache_hits + report.shared) * per_member_ms;
+    // Attribute the hits' share per tier, following the hit counts.
     const double disk_hits = std::min(report.cache_hits_disk, report.cache_hits);
     report.est_saved_disk_ms = disk_hits * per_member_ms;
-    report.est_saved_mem_ms = report.est_saved_ms - report.est_saved_disk_ms;
+    report.est_saved_mem_ms = (report.cache_hits - disk_hits) * per_member_ms;
     if (report.simulated_wall_ms > 0.0)
       report.batch_speedup =
           (report.simulated_wall_ms + report.est_saved_ms) / report.simulated_wall_ms;
@@ -223,7 +224,10 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                 report.cache_hits,
                 report.points > 0.0 ? 100.0 * report.cache_hits / report.points : 0.0);
   out += line;
-  std::snprintf(line, sizeof line, "  simulated members      %.0f in %zu classes\n",
+  std::snprintf(line, sizeof line, "  shared in-call         %.0f (%.1f%%)\n", report.shared,
+                report.points > 0.0 ? 100.0 * report.shared / report.points : 0.0);
+  out += line;
+  std::snprintf(line, sizeof line, "  simulated members      %.0f in %zu work units\n",
                 report.simulated_members, report.classes.size());
   out += line;
   std::snprintf(line, sizeof line, "  chunks shared          %.0f\n",
@@ -240,7 +244,7 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
     out += line;
   }
   std::snprintf(line, sizeof line,
-                "  est. cache savings     %s  (%.2fx speedup attribution)\n",
+                "  est. savings           %s  (%.2fx speedup attribution)\n",
                 format_duration(report.est_saved_ms).c_str(), report.batch_speedup);
   out += line;
 

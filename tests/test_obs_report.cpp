@@ -47,9 +47,10 @@ std::vector<JournalRecord> synthetic_run() {
   records.push_back(config);
 
   auto peel = make("cache_peel", 1.0);
-  peel.numbers["points"] = 10.0;
+  peel.numbers["points"] = 11.0;
   peel.numbers["hits"] = 4.0;
-  peel.numbers["misses"] = 6.0;
+  peel.numbers["misses"] = 7.0;  // 6 simulated (class_completed below) + 1 shared
+  peel.numbers["shared"] = 1.0;
   records.push_back(peel);
 
   for (int round = 0; round < 2; ++round) {
@@ -114,8 +115,9 @@ TEST(BuildReportTest, AggregatesSyntheticRun) {
   EXPECT_EQ(report.phases[1].name, "plan");
   EXPECT_DOUBLE_EQ(report.phases[1].wall_ms, 2.0);
 
-  EXPECT_DOUBLE_EQ(report.points, 10.0);
+  EXPECT_DOUBLE_EQ(report.points, 11.0);
   EXPECT_DOUBLE_EQ(report.cache_hits, 4.0);
+  EXPECT_DOUBLE_EQ(report.shared, 1.0);
   EXPECT_DOUBLE_EQ(report.chunks_shared, 5.0);
   EXPECT_DOUBLE_EQ(report.regen_avoided_accesses, 1000.0);
 
@@ -127,9 +129,12 @@ TEST(BuildReportTest, AggregatesSyntheticRun) {
   EXPECT_DOUBLE_EQ(report.simulated_wall_ms, 12.0);
   EXPECT_DOUBLE_EQ(report.class_wall_p50, 4.0);
 
-  // Savings: 4 hits x (12 ms / 6 members) = 8 ms -> (12+8)/12 speedup.
-  EXPECT_DOUBLE_EQ(report.est_saved_ms, 8.0);
-  EXPECT_DOUBLE_EQ(report.batch_speedup, 20.0 / 12.0);
+  // Savings: (4 hits + 1 shared) x (12 ms / 6 members) = 10 ms ->
+  // (12+10)/12 speedup; the memory tier carries the hits' 8 ms.
+  EXPECT_DOUBLE_EQ(report.est_saved_ms, 10.0);
+  EXPECT_DOUBLE_EQ(report.batch_speedup, 22.0 / 12.0);
+  EXPECT_DOUBLE_EQ(report.est_saved_mem_ms, 8.0);
+  EXPECT_DOUBLE_EQ(report.est_saved_disk_ms, 0.0);
 
   ASSERT_EQ(report.explored.size(), 4u);
   EXPECT_TRUE(report.explored[1].cached);
@@ -158,7 +163,10 @@ TEST(RenderReportTest, ContainsAllSections) {
   EXPECT_NE(text.find("== phase time breakdown =="), std::string::npos);
   EXPECT_NE(text.find("sweep"), std::string::npos);
   EXPECT_NE(text.find("== cache/batch effectiveness =="), std::string::npos);
-  EXPECT_NE(text.find("cache hits peeled      4 (40.0%)"), std::string::npos);
+  EXPECT_NE(text.find("cache hits peeled      4 (36.4%)"), std::string::npos);
+  EXPECT_NE(text.find("shared in-call         1 (9.1%)"), std::string::npos);
+  EXPECT_NE(text.find("simulated members      6 in 3 work units"), std::string::npos);
+  EXPECT_NE(text.find("est. savings           10.00 ms"), std::string::npos);
   EXPECT_NE(text.find("== per-class sim time =="), std::string::npos);
   EXPECT_NE(text.find("top 2 slowest classes:"), std::string::npos);
   EXPECT_NE(text.find("n=3 a0=1"), std::string::npos);  // slowest class config

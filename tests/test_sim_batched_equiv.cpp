@@ -17,9 +17,11 @@
 #include "c2b/common/rng.h"
 #include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
+#include "c2b/obs/obs.h"
 #include "c2b/sim/system/batched.h"
 #include "c2b/trace/chunk_store.h"
 #include "c2b/trace/generators.h"
+#include "c2b/trace/workloads.h"
 
 namespace c2b {
 namespace {
@@ -88,6 +90,108 @@ TEST(BatchEquivalence, WideBatchMatchesReferenceAtEveryThreadCount) {
         ASSERT_EQ(outcomes[i].memory_accesses, reference[i].memory_accesses);
       }
     }
+  }
+}
+
+// Points that map to one machine — a literal repeat, two a0 values in one
+// functional-unit bucket, two a1 values that round up to one power-of-two
+// L1 — share a simulation key, so a call replays each key once and the
+// rest copy their representative's outcome: bitwise the reference at every
+// thread count, with only representatives reaching the simulator and the
+// copies' accesses on exec.batch.shared_accesses. Without a workload uid
+// there is no key, and nothing folds.
+TEST(BatchEquivalence, EqualKeysSimulateOnce) {
+  ExecDefaults restore;
+  exec::SimCache::global().set_enabled(false);
+  DseContext context;
+  context.workload = make_stencil_workload(64);
+  context.instructions0 = 4'000;
+  context.per_core_cap = 2'000;
+
+  //                               a0    a1    a2   n  issue rob
+  const std::vector<double> base{0.5, 1.0, 1.0, 2, 2, 32};
+  std::vector<double> fu_twin = base;
+  fu_twin[kAxisA0] = 0.25;
+  std::vector<double> l1_twin = base;
+  l1_twin[kAxisA1] = 0.75;
+  const std::vector<double> one_core{0.5, 1.0, 1.0, 1, 2, 32};
+  const std::vector<std::vector<double>> points{base, fu_twin, one_core, base, l1_twin};
+  // Representatives are the first of each key in point order.
+  const std::vector<bool> representative{true, false, true, false, false};
+  const std::size_t distinct_keys = 2;
+
+  // The fold's premise: the twins build the same machine as `base`.
+  const sim::SystemConfig base_config = config_for_design(context, base);
+  for (const std::vector<double>& twin : {fu_twin, l1_twin}) {
+    const sim::SystemConfig config = config_for_design(context, twin);
+    ASSERT_EQ(config.core.functional_units, base_config.core.functional_units);
+    ASSERT_EQ(config.hierarchy.l1_geometry.size_bytes,
+              base_config.hierarchy.l1_geometry.size_bytes);
+    ASSERT_EQ(config.hierarchy.l2_geometry.size_bytes,
+              base_config.hierarchy.l2_geometry.size_bytes);
+  }
+
+  std::vector<BatchSimOutcome> reference;
+  std::vector<std::vector<double>> representatives;
+  std::uint64_t alias_accesses = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    reference.push_back(simulate_design_time_reference(context, points[i]));
+    if (representative[i])
+      representatives.push_back(points[i]);
+    else
+      alias_accesses += reference[i].memory_accesses;
+  }
+
+  const bool live = C2B_OBS_ACTIVE();
+  obs::Registry& registry = obs::Registry::global();
+  const auto counter = [&registry](const char* name) { return registry.counter(name).value(); };
+  exec::set_thread_count(1);
+  if (live) registry.reset_values();
+  (void)simulate_design_times_batched(context, representatives);
+  const std::uint64_t representative_runs = live ? counter("sim.system.runs") : 0;
+  if (live) {
+    ASSERT_GT(representative_runs, 0u);
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    exec::set_thread_count(threads);
+    if (live) registry.reset_values();
+    BatchReplayStats stats;
+    const std::vector<BatchSimOutcome> outcomes =
+        simulate_design_times_batched(context, points, &stats);
+    ASSERT_EQ(outcomes.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(outcomes[i].time),
+                std::bit_cast<std::uint64_t>(reference[i].time))
+          << "threads " << threads << " point " << i;
+      EXPECT_EQ(outcomes[i].memory_accesses, reference[i].memory_accesses)
+          << "threads " << threads << " point " << i;
+    }
+    EXPECT_EQ(stats.members, points.size());
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.simulated, distinct_keys);
+    if (live) {
+      EXPECT_EQ(counter("sim.system.runs"), representative_runs) << "threads " << threads;
+      EXPECT_EQ(counter("exec.batch.shared_accesses"), alias_accesses) << "threads " << threads;
+      EXPECT_EQ(counter("exec.batch.simulated"), distinct_keys);
+    }
+  }
+
+  // No uid, no key: every point replays.
+  context.workload.uid.clear();
+  exec::set_thread_count(2);
+  if (live) registry.reset_values();
+  BatchReplayStats stats;
+  const std::vector<BatchSimOutcome> outcomes =
+      simulate_design_times_batched(context, points, &stats);
+  EXPECT_EQ(stats.members, points.size());
+  EXPECT_EQ(stats.simulated, stats.members);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(outcomes[i].time),
+              std::bit_cast<std::uint64_t>(reference[i].time))
+        << "uid-less point " << i;
+  if (live) {
+    EXPECT_EQ(counter("exec.batch.shared_accesses"), 0u);
   }
 }
 

@@ -4,7 +4,7 @@
 // on random scenarios — random member configs, batch widths 1..16,
 // workloads — over shared chunk-store streams, and must keep the telemetry
 // ledger balanced: sim.l1.hit + sim.l1.miss + exec.simcache.replayed_accesses
-// == the demand accesses the results report, and each per-access histogram
+// + exec.batch.shared_accesses == the demand accesses the results report, and each per-access histogram
 // holds exactly one sample per event it describes. Each scenario replays
 // concurrently on pools of 1, 2 and 8 threads, so a member whose telemetry
 // is flushed twice or never, or a flush lost to a race, breaks the ledger.
@@ -123,6 +123,7 @@ struct Telemetry {
   std::uint64_t l2_hits = 0;
   std::uint64_t l2_misses = 0;
   std::uint64_t replayed = 0;
+  std::uint64_t shared = 0;
   std::uint64_t mshr_samples = 0;  ///< sim.l1.mshr_occupancy count
   std::uint64_t noc_samples = 0;   ///< sim.noc.round_trip_cycles count
   std::uint64_t dram_samples = 0;  ///< sim.dram.queue_depth count
@@ -189,6 +190,7 @@ BatchRun run_batch(const KernelScenario& s, std::size_t threads, sim::ReplayMode
     t.l2_hits = registry.counter("sim.l2.hit").value();
     t.l2_misses = registry.counter("sim.l2.miss").value();
     t.replayed = registry.counter("exec.simcache.replayed_accesses").value();
+    t.shared = registry.counter("exec.batch.shared_accesses").value();
     t.mshr_samples = registry.histogram("sim.l1.mshr_occupancy", 0.0, 64.0, 64).count();
     t.noc_samples = registry.histogram("sim.noc.round_trip_cycles", 0.0, 256.0, 64).count();
     t.dram_samples = registry.histogram("sim.dram.queue_depth", 0.0, 64.0, 64).count();
@@ -272,8 +274,8 @@ std::optional<std::string> check_ledger(const BatchRun& run) {
     os << "ledger at " << run.threads << " threads: " << what << ": " << got << " != " << want;
     failure = os.str();
   };
-  expect("sim.l1.hit + sim.l1.miss + replayed vs reported accesses",
-         t.l1_hits + t.l1_misses + t.replayed, accesses);
+  expect("sim.l1.hit + sim.l1.miss + replayed + shared vs reported accesses",
+         t.l1_hits + t.l1_misses + t.replayed + t.shared, accesses);
   expect("sim.l1.mshr_occupancy count vs sim.l1.miss", t.mshr_samples, t.l1_misses);
   expect("sim.noc.round_trip_cycles count vs sim.l2.hit + sim.l2.miss", t.noc_samples,
          l2_counted);

@@ -374,11 +374,12 @@ int cmd_simulate(const Args& args) {
 void print_batch_summary(const BatchReplayStats& batch) {
   const exec::SimCacheStats cache = exec::SimCache::global().stats();
   std::printf("cache hits %llu (%llu mem + %llu disk) / misses %llu | "
-              "batch classes %zu (%zu members) | regen avoided %llu accesses\n",
+              "batch classes %zu (%zu members, %zu simulated) | regen avoided %llu accesses\n",
               static_cast<unsigned long long>(cache.hits + cache.disk_hits),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.disk_hits),
               static_cast<unsigned long long>(cache.misses), batch.classes, batch.members,
+              batch.simulated,
               static_cast<unsigned long long>(batch.regen_avoided_accesses));
   if (exec::SimCache::global().has_disk_tier())
     std::printf("disk tier: %llu hits / %llu misses | %zu entries | "
@@ -418,6 +419,7 @@ void journal_batch_stats(const BatchReplayStats& batch) {
   journal->emit(obs::JournalEvent("batch_stats")
                     .count("classes", batch.classes)
                     .count("members", batch.members)
+                    .count("simulated", batch.simulated)
                     .count("cache_hits", batch.cache_hits)
                     .count("cache_hits_disk", batch.cache_hits_disk)
                     .count("chunks_shared", batch.chunks_shared)
