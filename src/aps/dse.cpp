@@ -312,10 +312,10 @@ struct BatchUnit {
 /// permutation build); a clone of a pristine prototype replays the same
 /// records for a fraction of the cost, and cloning from a const prototype
 /// is thread-safe (pure copy). Only built for classes with >= 2 units —
-/// a lone unit constructs its generators directly either way.
+/// a lone unit constructs its generators directly.
 struct ClassPrototypes {
-  std::unique_ptr<TraceGenerator> serial;                  ///< null when unneeded/unclonable
-  std::vector<std::unique_ptr<TraceGenerator>> parallel;   ///< one per core, nulls allowed
+  std::unique_ptr<TraceGenerator> serial;                 ///< null when not built
+  std::vector<std::unique_ptr<TraceGenerator>> parallel;  ///< one per core, or empty
 };
 
 struct BatchUnitResult {
@@ -336,17 +336,14 @@ BatchUnitResult run_batch_unit(const DseContext& context,
   const std::uint32_t n = configs[unit.members.front()].hierarchy.cores;
   const PhasePlan plan = make_phase_plan(context, n);
 
-  // Clone the class prototype when one exists (and is clonable); fall back
-  // to constructing from scratch. Both produce bit-identical streams.
-  const auto serial_stream = [&]() -> std::unique_ptr<TraceGenerator> {
-    if (prototypes.serial != nullptr)
-      if (auto cloned = prototypes.serial->clone()) return cloned;
-    return make_serial_generator(context, plan);
+  // Clone the class prototypes when the class has them; otherwise
+  // construct from scratch. Both produce bit-identical streams.
+  const auto serial_stream = [&] {
+    return prototypes.serial ? prototypes.serial->clone() : make_serial_generator(context, plan);
   };
-  const auto parallel_stream = [&](std::uint32_t c) -> std::unique_ptr<TraceGenerator> {
-    if (c < prototypes.parallel.size() && prototypes.parallel[c] != nullptr)
-      if (auto cloned = prototypes.parallel[c]->clone()) return cloned;
-    return make_parallel_generator(context, plan, c);
+  const auto parallel_stream = [&](std::uint32_t c) {
+    return prototypes.parallel.empty() ? make_parallel_generator(context, plan, c)
+                                       : prototypes.parallel[c]->clone();
   };
 
   std::vector<sim::SystemConfig> member_configs;

@@ -38,6 +38,13 @@ constexpr std::size_t kFallbackFraction = 100;
 /// everything admitted) would spend more time in backprop than the
 /// exhaustive sweep spends simulating.
 constexpr std::size_t kTrainCap = 2048;
+/// Relative pruning band: a point stays a candidate while its predicted
+/// time is within (1 + kBand) of the incumbent (Pareto mode: of a frontier
+/// point no worse in power and area).
+constexpr double kBand = 0.25;
+/// Exact samples per trace class, strided over its members, that seed the
+/// first fit.
+constexpr std::size_t kWarmup = 3;
 
 /// The MLP sees log2 coordinates: every axis (areas, N, issue, ROB) is
 /// sampled at near-power-of-two steps, so the log2 grid is close to
@@ -129,10 +136,9 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   };
 
   // --- warmup: a strided exact sample from every class ---------------------
-  const std::size_t warmup = std::max<std::size_t>(1, context.surrogate_warmup);
   std::vector<std::size_t> warmup_indices;
   for (const ClassState& cls : classes) {
-    const std::size_t take = std::min(warmup, cls.members.size());
+    const std::size_t take = std::min(kWarmup, cls.members.size());
     const std::size_t stride = cls.members.size() / take;
     for (std::size_t j = 0; j < take; ++j) warmup_indices.push_back(cls.members[j * stride]);
   }
@@ -164,8 +170,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   refit(kWarmupEpochs);
   ++result.stats.rounds;
 
-  const double band = std::max(0.0, context.surrogate_band);
-  const double admit_factor = 1.0 + band;
+  const double admit_factor = 1.0 + kBand;
 
   // Per-round scratch, refreshed from the current model: predicted time for
   // every unsimulated point (+inf where simulated, so mins ignore them).

@@ -20,6 +20,7 @@
 #include "c2b/aps/aps.h"
 #include "c2b/aps/characterize.h"
 #include "c2b/check/generators.h"
+#include "c2b/check/property.h"
 #include "c2b/core/optimizer.h"
 #include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
@@ -35,9 +36,32 @@ namespace {
 /// runs).
 constexpr std::array<std::size_t, 3> kThreadCounts{1, 2, 8};
 
+// Per-family sizes of one `c2b check` run.
+/// analytic-vs-sim: random designs sampled per catalog workload.
+constexpr std::size_t kDesignsPerWorkload = 5;
+/// determinism: random full-DSE scenarios swept at every thread count.
+constexpr std::size_t kDseConfigs = 100;
+/// determinism: random APS scenarios (characterize + neighborhood).
+constexpr std::size_t kApsConfigs = 4;
+/// invariant registry: cases per property.
+constexpr std::size_t kInvariantCases = 60;
 /// Random DSE scenarios the invariant family's telemetry ledger traces end
 /// to end.
 constexpr std::size_t kLedgerConfigs = 2;
+/// kernel equivalence: random (config, trace) cases compared bitwise
+/// against the per-cycle reference kernel. Also sizes the family's other
+/// parts: kKernelConfigs / 4 streaming cases and random DSE design sets,
+/// kKernelConfigs / 10 batch-width sets.
+constexpr std::size_t kKernelConfigs = 40;
+/// constraint ground truth: random budgeted spaces enumerated serially
+/// and compared against the constrained optimizer + Pareto frontier.
+constexpr std::size_t kConstraintSets = 6;
+/// surrogate pruning: random scenarios swept surrogate-on vs exhaustive
+/// (on top of one fixed scenario that must prune at least one class).
+constexpr std::size_t kSurrogateSets = 3;
+/// persistent cache: random scenarios run no-cache / cold / warm /
+/// warm-restart / corrupted-dir against a fresh disk tier each.
+constexpr std::size_t kCacheSets = 3;
 
 /// One design through the shipped evaluator on its own: a one-point
 /// simulate_design_times_batched call.
@@ -143,7 +167,7 @@ OracleReport run_analytic_vs_sim_oracle(const OracleOptions& options) {
     // the issue/ROB axes, so varying them would measure scope, not error.
     Rng rng(Rng::derive_stream_seed(options.seed, workload_index));
     std::vector<std::vector<double>> points;
-    for (std::size_t s = 0; s < options.designs_per_workload; ++s) {
+    for (std::size_t s = 0; s < kDesignsPerWorkload; ++s) {
       const double a0 = pick(rng, {1.0, 2.0, 4.0});
       const double a1 = pick(rng, {0.5, 1.0, 2.0});
       const double a2 = pick(rng, {1.0, 2.0, 4.0});
@@ -181,7 +205,7 @@ OracleReport run_analytic_vs_sim_oracle(const OracleOptions& options) {
          << "': mean " << fmt(band.mean_abs_rel_error) << " (tol "
          << fmt(band.mean_tolerance) << "), max " << fmt(band.max_abs_rel_error)
          << " (tol " << fmt(band.max_tolerance) << ") over " << band.samples
-         << " designs; repro: " << repro_line(options.seed, workload_index);
+         << " designs; repro: " << repro_command(report.family, options.seed, workload_index);
       report.failures.push_back(os.str());
     }
     report.bands.push_back(band);
@@ -237,11 +261,11 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
 
-  for (std::size_t i = 0; i < options.dse_configs; ++i) {
+  for (std::size_t i = 0; i < kDseConfigs; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 10'000 + i));
     const DseScenario scenario = gen_dse_scenario(rng);
     const GridSpace space = make_design_space(scenario.axes);
-    const std::string repro = repro_line(options.seed, 10'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 10'000 + i);
 
     // Thread-count sweep with the cache off, so every run recomputes and
     // the comparison exercises the parallel execution paths for real.
@@ -293,11 +317,11 @@ OracleReport run_determinism_oracle(const OracleOptions& options) {
   // APS end to end (characterize + analytic solve + neighborhood) across
   // thread counts: the expensive half of the PR 2 contract, so fewer
   // configurations.
-  for (std::size_t i = 0; i < options.aps_configs; ++i) {
+  for (std::size_t i = 0; i < kApsConfigs; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 20'000 + i));
     const DseScenario scenario = gen_dse_scenario(rng);
     const GridSpace space = make_design_space(scenario.axes);
-    const std::string repro = repro_line(options.seed, 20'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 20'000 + i);
     ApsOptions aps_options;
     aps_options.characterize.instructions = 30'000;
     aps_options.characterize.seed = scenario.context.seed;
@@ -372,11 +396,15 @@ void run_engine_property(const Property<ModelCase>& property, const OracleOption
                          OracleReport& report) {
   CheckOptions check_options;
   check_options.seed = options.seed;
-  check_options.cases = options.invariant_cases;
-  check_options.corpus_dir = options.corpus_dir;
-  const CheckResult result = check(property, check_options);
+  check_options.cases = kInvariantCases;
+  // Only the corpus directory comes from the environment: the seed and
+  // case count stay the run's, so the repro below reruns this case.
+  check_options.corpus_dir = options_from_env().corpus_dir;
+  CheckResult result = check(property, check_options);
   report.checks += result.cases_run;
-  if (!result.passed) report.failures.push_back(result.summary());
+  if (result.passed) return;
+  result.repro = repro_command(report.family, options.seed, result.counterexample->case_index);
+  report.failures.push_back(result.summary());
 }
 
 }  // namespace
@@ -472,7 +500,7 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
     optimizer.optimize();
 
     ++report.checks;
-    const std::string repro = repro_line(options.seed, 30'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 30'000 + i);
     if (observed == 0) {
       report.failures.push_back("area oracle #" + std::to_string(i) +
                                 ": optimizer never invoked the iterate observer; repro: " +
@@ -531,7 +559,7 @@ OracleReport run_invariant_oracle(const OracleOptions& options) {
            << "): sim.l1.hit " << hits << " + sim.l1.miss " << misses
            << " + replayed " << replayed << " + shared " << shared << " = "
            << (hits + misses + replayed + shared) << " != reported accesses " << reported
-           << "; repro: " << repro_line(options.seed, 40'000 + i);
+           << "; repro: " << repro_command(report.family, options.seed, 40'000 + i);
         report.failures.push_back(os.str());
       }
     }
@@ -685,10 +713,10 @@ std::vector<sim::SystemConfig> gen_batch_members(Rng& rng, const sim::SystemConf
 /// replay ships (every field but camat bitwise, camat empty). One random
 /// workload + core count per set; per width, a heterogeneous member list.
 void check_batch_widths(const OracleOptions& options, OracleReport& report) {
-  const std::size_t sets = std::max<std::size_t>(1, options.kernel_configs / 10);
+  const std::size_t sets = kKernelConfigs / 10;
   for (std::size_t i = 0; i < sets; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 70'000 + i));
-    const std::string repro = repro_line(options.seed, 70'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 70'000 + i);
     const sim::SystemConfig proto = gen_system_config(rng);
     const std::uint32_t n = proto.hierarchy.cores;
     const WorkloadSpec spec = gen_workload_spec(rng);
@@ -793,11 +821,11 @@ std::vector<std::vector<double>> gen_design_points(Rng& rng, const DseScenario& 
 void check_design_sets(const OracleOptions& options, OracleReport& report) {
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
-  const std::size_t sets = std::max<std::size_t>(1, options.kernel_configs / 4);
+  const std::size_t sets = kKernelConfigs / 4;
   for (std::size_t i = 0; i < sets; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 60'000 + i));
     const DseScenario scenario = gen_dse_scenario(rng);
-    const std::string repro = repro_line(options.seed, 60'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 60'000 + i);
     const std::vector<std::vector<double>> points = gen_design_points(rng, scenario);
     const std::string where = "design set #" + std::to_string(i) + " (" +
                               print_dse_scenario(scenario) + ", " +
@@ -943,9 +971,9 @@ OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
   // share of the cases (the stock generator leaves both off), random
   // per-core traces, and — when telemetry is live — the demand-access
   // ledger sim.l1.hit + sim.l1.miss == reported accesses for each run.
-  for (std::size_t i = 0; i < options.kernel_configs; ++i) {
+  for (std::size_t i = 0; i < kKernelConfigs; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 50'000 + i));
-    const std::string repro = repro_line(options.seed, 50'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 50'000 + i);
     sim::SystemConfig config = gen_system_config(rng);
     if (config.hierarchy.cores > 1 && rng.bernoulli(0.4)) config.hierarchy.coherence = true;
     config.hierarchy.l1_prefetch.kind =
@@ -990,10 +1018,10 @@ OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
   // TraceGenerator::generate and chunk-at-a-time via GeneratorTraceCursor
   // with a deliberately small chunk (many refills). Also asserts the
   // cursor's O(chunk) residency contract.
-  const std::size_t streaming_cases = std::max<std::size_t>(2, options.kernel_configs / 4);
+  const std::size_t streaming_cases = kKernelConfigs / 4;
   for (std::size_t i = 0; i < streaming_cases; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 51'000 + i));
-    const std::string repro = repro_line(options.seed, 51'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 51'000 + i);
     const sim::SystemConfig config = gen_system_config(rng);
     const WorkloadSpec spec = gen_workload_spec(rng);
     const double scale = pick(rng, {1.0, 2.0, 4.0});
@@ -1045,9 +1073,9 @@ OracleReport run_constraint_oracle(const OracleOptions& options) {
   ExecStateGuard guard;
   exec::SimCache& cache = exec::SimCache::global();
 
-  for (std::size_t i = 0; i < options.constraint_sets; ++i) {
+  for (std::size_t i = 0; i < kConstraintSets; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 80'000 + i));
-    const std::string repro = repro_line(options.seed, 80'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 80'000 + i);
     DseScenario scenario = gen_dse_scenario(rng);
     const GridSpace space = make_design_space(scenario.axes);
 
@@ -1238,15 +1266,15 @@ OracleReport run_surrogate_oracle(const OracleOptions& options) {
     fixed.scenario.axes.rob = {32, 64};
     fixed.require_pruning = true;
     fixed.label = "fixed";
-    fixed.repro = repro_line(options.seed, 90'000);
+    fixed.repro = repro_command(report.family, options.seed, 90'000);
     cases.push_back(std::move(fixed));
   }
-  for (std::size_t i = 0; i < options.surrogate_sets; ++i) {
+  for (std::size_t i = 0; i < kSurrogateSets; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 90'001 + i));
     SurrogateCase random;
     random.scenario = gen_dse_scenario(rng);
     random.label = "random #" + std::to_string(i);
-    random.repro = repro_line(options.seed, 90'001 + i);
+    random.repro = repro_command(report.family, options.seed, 90'001 + i);
     cases.push_back(std::move(random));
   }
 
@@ -1406,11 +1434,11 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
   } restore;
   (void)restore;
 
-  for (std::size_t i = 0; i < options.cache_sets; ++i) {
+  for (std::size_t i = 0; i < kCacheSets; ++i) {
     Rng rng(Rng::derive_stream_seed(options.seed, 90'000 + i));
     const DseScenario scenario = gen_dse_scenario(rng);
     const GridSpace space = make_design_space(scenario.axes);
-    const std::string repro = repro_line(options.seed, 90'000 + i);
+    const std::string repro = repro_command(report.family, options.seed, 90'000 + i);
     const auto fail = [&](const std::string& what) {
       report.failures.push_back("persistent-cache (" + print_dse_scenario(scenario) +
                                 "): " + what + "; repro: " + repro);
@@ -1514,11 +1542,32 @@ OracleReport run_persistent_cache_oracle(const OracleOptions& options) {
   return report;
 }
 
+const std::array<OracleFamily, 7>& oracle_families() {
+  static constexpr std::array<OracleFamily, 7> kFamilies{{
+      {"analytic", "analytic_vs_sim", run_analytic_vs_sim_oracle},
+      {"determinism", "determinism", run_determinism_oracle},
+      {"invariants", "invariants", run_invariant_oracle},
+      {"kernel", "kernel", run_kernel_equivalence_oracle},
+      {"constraint", "constraint", run_constraint_oracle},
+      {"surrogate", "surrogate", run_surrogate_oracle},
+      {"cache", "persistent_cache", run_persistent_cache_oracle},
+  }};
+  return kFamilies;
+}
+
 std::vector<OracleReport> run_all_oracles(const OracleOptions& options) {
-  return {run_analytic_vs_sim_oracle(options), run_determinism_oracle(options),
-          run_invariant_oracle(options),       run_kernel_equivalence_oracle(options),
-          run_constraint_oracle(options),      run_surrogate_oracle(options),
-          run_persistent_cache_oracle(options)};
+  std::vector<OracleReport> reports;
+  for (const OracleFamily& family : oracle_families()) reports.push_back(family.run(options));
+  return reports;
+}
+
+std::string repro_command(std::string_view report_name, std::uint64_t seed,
+                          std::size_t case_id) {
+  std::string_view flag = report_name;
+  for (const OracleFamily& family : oracle_families())
+    if (family.report_name == report_name) flag = family.flag;
+  return "c2b check --family " + std::string(flag) + " --seed " + std::to_string(seed) +
+         " (case " + std::to_string(case_id) + ")";
 }
 
 bool write_tolerance_bands_json(const std::string& path,

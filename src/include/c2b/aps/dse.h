@@ -67,16 +67,14 @@ struct DseContext {
   ConstraintModels cost{};
   // Surrogate-guided sweep pruning (c2b/aps/surrogate.h): when enabled,
   // run_full_dse / run_pareto_dse train an MLP on streaming batched-replay
-  // results and skip trace classes predicted to be more than
-  // `surrogate_band` (relative) away from the incumbent optimum/frontier.
+  // results and skip trace classes predicted to be more than a fixed
+  // relative band away from the incumbent optimum/frontier.
   // The reported optimum is always simulator ground truth (an exact
   // fallback pass re-simulates the predicted neighborhood), and every
   // decision is a serial function of deterministic simulation results, so
   // sweeps stay bit-identical at any thread count. Pruned points are the
   // only observable difference: their times stay +infinity.
   bool surrogate_enabled = false;
-  double surrogate_band = 0.25;     ///< relative pruning band around incumbent
-  std::size_t surrogate_warmup = 3; ///< exact warmup samples per trace class
 };
 
 /// The DesignPoint view of a 6-coordinate grid point (issue/ROB carry no

@@ -55,9 +55,9 @@ struct SurrogateSweepResult {
 };
 
 /// Run the surrogate driver over `points` (already feasibility-filtered,
-/// as produced by the run_full_dse / run_pareto_dse plan phase) using
-/// context.surrogate_band / context.surrogate_warmup. Pass `pareto` to
-/// prune against the simulated frontier instead of the scalar incumbent.
+/// as produced by the run_full_dse / run_pareto_dse plan phase). Pass
+/// `pareto` to prune against the simulated frontier instead of the scalar
+/// incumbent.
 SurrogateSweepResult surrogate_sweep(const DseContext& context,
                                      const std::vector<std::vector<double>>& points,
                                      const SurrogateObjectives* pareto = nullptr);

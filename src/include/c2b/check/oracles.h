@@ -58,40 +58,18 @@
 // global sim cache, telemetry counters) and restore defaults on exit; do
 // not run them concurrently with other work in the same process.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "c2b/check/property.h"
 
 namespace c2b::check {
 
+/// Each family runs at fixed sizes (constants in oracles.cpp); only the
+/// seed varies between runs.
 struct OracleOptions {
   std::uint64_t seed = 42;
-  /// analytic-vs-sim: random designs sampled per catalog workload.
-  std::size_t designs_per_workload = 5;
-  /// determinism: random full-DSE scenarios swept at every thread count.
-  std::size_t dse_configs = 100;
-  /// determinism: random APS scenarios (characterize + neighborhood).
-  std::size_t aps_configs = 4;
-  /// invariant registry: cases per property.
-  std::size_t invariant_cases = 60;
-  /// kernel equivalence: random (config, trace) cases compared bitwise
-  /// against the per-cycle reference kernel. Also sizes the family's other
-  /// parts: kernel_configs / 4 streaming cases and random DSE design sets,
-  /// kernel_configs / 10 batch-width sets (each at least one or two).
-  std::size_t kernel_configs = 40;
-  /// constraint ground truth: random budgeted spaces enumerated serially
-  /// and compared against the constrained optimizer + Pareto frontier.
-  std::size_t constraint_sets = 6;
-  /// surrogate pruning: random scenarios swept surrogate-on vs exhaustive
-  /// (on top of one fixed scenario that must prune at least one class).
-  std::size_t surrogate_sets = 3;
-  /// persistent cache: random scenarios run no-cache / cold / warm /
-  /// warm-restart / corrupted-dir against a fresh disk tier each.
-  std::size_t cache_sets = 3;
-  /// Corpus directory for shrunk property counterexamples ("" = none).
-  std::string corpus_dir;
 };
 
 /// Observed vs asserted model-simulator agreement for one workload.
@@ -121,9 +99,28 @@ OracleReport run_constraint_oracle(const OracleOptions& options = {});
 OracleReport run_surrogate_oracle(const OracleOptions& options = {});
 OracleReport run_persistent_cache_oracle(const OracleOptions& options = {});
 
+/// One `c2b check --family` choice: the flag value that selects it, the
+/// name its report carries (the two differ for analytic_vs_sim and
+/// persistent_cache), and its runner.
+struct OracleFamily {
+  std::string_view flag;
+  std::string_view report_name;
+  OracleReport (*run)(const OracleOptions&);
+};
+
+/// The seven families in run order.
+const std::array<OracleFamily, 7>& oracle_families();
+
 /// All seven families in order; never throws on oracle failure (inspect
 /// the reports).
 std::vector<OracleReport> run_all_oracles(const OracleOptions& options = {});
+
+/// The command that reruns the family whose report is named `report_name`
+/// at `seed`, with the failing case's stream id after it, e.g.
+/// "c2b check --family kernel --seed 7 (case 50003)". Every oracle
+/// failure ends with this repro.
+std::string repro_command(std::string_view report_name, std::uint64_t seed,
+                          std::size_t case_id);
 
 /// Export tolerance bands as a JSON array. Returns false on I/O failure.
 bool write_tolerance_bands_json(const std::string& path,

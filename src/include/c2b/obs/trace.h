@@ -5,9 +5,6 @@
 // chrome://tracing or Perfetto. Span names must be string literals (or
 // otherwise outlive the process) — the buffers store the pointer, never a
 // copy, so the record path is two clock reads and a ring-slot store.
-//
-// A runtime sampling knob (set_span_sample_period) records only every Nth
-// span per thread when tracing cost matters more than completeness.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,10 +22,6 @@ struct TraceEvent {
   std::uint64_t arg = 0;          ///< optional numeric payload
   bool has_arg = false;
 };
-
-/// Record every Nth span per thread (1 = record all, 0 behaves as 1).
-void set_span_sample_period(std::uint32_t period) noexcept;
-std::uint32_t span_sample_period() noexcept;
 
 /// Ring capacity (events per thread) for buffers created after the call.
 void set_trace_buffer_capacity(std::size_t events) noexcept;
@@ -53,7 +46,7 @@ bool write_chrome_trace(const std::string& path);
 namespace detail {
 
 /// Begin a span: returns the start timestamp and bumps the thread's depth.
-/// Returns 0 when this span is sampled out (end_span must still be called
+/// Returns 0 when telemetry is disabled (end_span must still be called
 /// with the returned token).
 std::uint64_t begin_span() noexcept;
 void end_span(const char* name, std::uint64_t token, std::uint64_t arg, bool has_arg) noexcept;

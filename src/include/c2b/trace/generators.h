@@ -291,8 +291,7 @@ class PhasedGenerator final : public detail::BufferedGenerator {
   explicit PhasedGenerator(std::vector<Phase> phases);
 
   /// Deep clone: children are cloned too (phases share mutable child
-  /// state, so a shallow copy would alias it). Returns nullptr when any
-  /// child is not clonable.
+  /// state, so a shallow copy would alias it).
   std::unique_ptr<TraceGenerator> clone() const override;
 
  private:

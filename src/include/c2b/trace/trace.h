@@ -49,13 +49,12 @@ class TraceGenerator {
   virtual void reset() = 0;
   virtual const std::string& name() const noexcept = 0;
 
-  /// Independent copy of this generator, or nullptr when the concrete type
-  /// does not support cloning (callers must fall back to reconstructing).
-  /// A clone of a generator that has not produced records yet replays the
-  /// exact stream a freshly constructed twin would; cloning from a const
-  /// prototype is a pure copy, so it is safe from concurrent threads as
-  /// long as nobody pulls records from the prototype.
-  virtual std::unique_ptr<TraceGenerator> clone() const { return nullptr; }
+  /// Independent copy of this generator. A clone of a generator that has
+  /// not produced records yet replays the exact stream a freshly
+  /// constructed twin would; cloning from a const prototype is a pure copy,
+  /// so it is safe from concurrent threads as long as nobody pulls records
+  /// from the prototype.
+  virtual std::unique_ptr<TraceGenerator> clone() const = 0;
 
   /// Materialize `count` records into a Trace.
   Trace generate(std::uint64_t count);

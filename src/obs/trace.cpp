@@ -34,7 +34,6 @@ struct ThreadBuffer {
 
   std::uint32_t thread_id;
   std::uint32_t depth = 0;          ///< open recorded spans on this thread
-  std::uint64_t span_counter = 0;   ///< for the sampling period
   std::uint64_t written = 0;        ///< total events ever recorded
   std::vector<TraceEvent> ring;
   std::mutex mutex;
@@ -50,7 +49,6 @@ struct TraceState {
   std::mutex mutex;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;  ///< outlive their threads
   std::uint32_t next_thread_id = 0;
-  std::atomic<std::uint32_t> sample_period{1};
   std::atomic<std::size_t> capacity{kDefaultCapacity};
   std::uint64_t epoch_ns = now_ns();
 };
@@ -91,14 +89,6 @@ std::string json_escape(const char* text) {
 }
 
 }  // namespace
-
-void set_span_sample_period(std::uint32_t period) noexcept {
-  state().sample_period.store(period == 0 ? 1 : period, std::memory_order_relaxed);
-}
-
-std::uint32_t span_sample_period() noexcept {
-  return state().sample_period.load(std::memory_order_relaxed);
-}
 
 void set_trace_buffer_capacity(std::size_t events) noexcept {
   state().capacity.store(events == 0 ? 1 : events, std::memory_order_relaxed);
@@ -189,10 +179,7 @@ namespace detail {
 
 std::uint64_t begin_span() noexcept {
   if (!enabled()) return 0;
-  ThreadBuffer& buffer = local_buffer();
-  const std::uint32_t period = span_sample_period();
-  if (period > 1 && buffer.span_counter++ % period != 0) return 0;
-  ++buffer.depth;
+  ++local_buffer().depth;
   // +1 reserves 0 as the "not recording" token (the clock can return 0).
   return now_ns() + 1;
 }

@@ -384,11 +384,7 @@ void PhasedGenerator::rewind() {
 
 std::unique_ptr<TraceGenerator> PhasedGenerator::clone() const {
   auto copy = std::make_unique<PhasedGenerator>(*this);
-  for (Phase& p : copy->phases_) {
-    std::unique_ptr<TraceGenerator> child = p.generator->clone();
-    if (child == nullptr) return nullptr;
-    p.generator = std::move(child);
-  }
+  for (Phase& p : copy->phases_) p.generator = p.generator->clone();
   return copy;
 }
 

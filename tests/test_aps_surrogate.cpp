@@ -180,28 +180,5 @@ TEST(SurrogateSweep, DeterministicAcrossThreadCountsAndWarmCache) {
   expect_same(run_full_dse(context, space), "warm replay");
 }
 
-TEST(SurrogateSweep, WiderBandSimulatesNoMorePoints) {
-  ExecGuard guard;
-  exec::SimCache::global().set_enabled(false);
-  const GridSpace space = make_design_space(stratified_axes());
-
-  DseContext tight = stratified_context();
-  tight.surrogate_enabled = true;
-  tight.surrogate_band = 0.05;
-  const FullDseResult tight_result = run_full_dse(tight, space);
-
-  DseContext loose = stratified_context();
-  loose.surrogate_enabled = true;
-  loose.surrogate_band = 10.0;  // admit anything within 11x of the incumbent
-  const FullDseResult loose_result = run_full_dse(loose, space);
-
-  // A wider band admits a superset of classes; both still land on the
-  // exhaustive optimum (identity is checked above, ordering here).
-  EXPECT_LE(tight_result.surrogate.classes_simulated,
-            loose_result.surrogate.classes_simulated);
-  EXPECT_EQ(tight_result.best_index, loose_result.best_index);
-  EXPECT_TRUE(bit_equal(tight_result.best_time, loose_result.best_time));
-}
-
 }  // namespace
 }  // namespace c2b

@@ -1,7 +1,7 @@
-// Tier-1 wiring of the three differential oracle families. Each test runs
-// one family at a fixed seed, so a CI failure replays locally with the
-// printed C2B_CHECK_SEED/C2B_CHECK_CASE line. The analytic-vs-sim test
-// also exports its tolerance bands as JSON — the artifact CI uploads.
+// Tier-1 wiring of three differential oracle families. Each test runs one
+// family at a fixed seed, so a CI failure replays locally with the printed
+// `c2b check --family F --seed S` line. The analytic-vs-sim test also
+// exports its tolerance bands as JSON — the artifact CI uploads.
 
 #include "c2b/check/oracles.h"
 
@@ -9,7 +9,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "c2b/trace/workloads.h"
 
@@ -50,11 +52,10 @@ TEST(CheckOracles, AnalyticVsSimWithinToleranceBands) {
 TEST(CheckOracles, DeterminismHoldsOn100RandomConfigs) {
   OracleOptions options;
   options.seed = 42;
-  options.dse_configs = 100;  // the acceptance floor: >= 100 random configs
-  options.aps_configs = 3;
   const OracleReport report = run_determinism_oracle(options);
   EXPECT_TRUE(report.passed()) << joined(report.failures);
-  // 100 configs x (3 thread counts + 1 warm-cache replay) + APS sweeps.
+  // The acceptance floor: 100 configs x (3 thread counts + 1 warm-cache
+  // replay) + APS sweeps.
   EXPECT_GE(report.checks, 403u);
 }
 
@@ -64,6 +65,26 @@ TEST(CheckOracles, InvariantRegistryHolds) {
   const OracleReport report = run_invariant_oracle(options);
   EXPECT_TRUE(report.passed()) << joined(report.failures);
   EXPECT_GE(report.checks, 100u);
+}
+
+// A failure's repro must be a command `c2b check` runs: the --family value
+// the CLI accepts (not the report's family name) and the failing seed.
+TEST(CheckOracles, ReproCommandRerunsTheFailingFamily) {
+  EXPECT_EQ(repro_command("analytic_vs_sim", 7, 3),
+            "c2b check --family analytic --seed 7 (case 3)");
+  EXPECT_EQ(repro_command("persistent_cache", 7, 90'001),
+            "c2b check --family cache --seed 7 (case 90001)");
+  EXPECT_EQ(repro_command("kernel", 1, 50'003),
+            "c2b check --family kernel --seed 1 (case 50003)");
+  std::set<std::string_view> flags;
+  for (const OracleFamily& family : oracle_families()) {
+    flags.insert(family.flag);
+    EXPECT_EQ(repro_command(family.report_name, 42, 0),
+              "c2b check --family " + std::string(family.flag) + " --seed 42 (case 0)");
+  }
+  EXPECT_EQ(flags, (std::set<std::string_view>{"analytic", "determinism", "invariants",
+                                               "kernel", "constraint", "surrogate",
+                                               "cache"}));
 }
 
 TEST(CheckOracles, ToleranceBandJsonRoundTripsShape) {

@@ -18,27 +18,22 @@
 //       Generate a trace and save it in the binary trace format.
 //   c2b aps [--workload <name>] [--instructions N] [--per-core-cap N]
 //           [--characterize-instructions N] [--radius R] [--area A]
-//           [--shared-area A] [--seed S] [--repeat N] [--large-axes]
+//           [--shared-area A] [--seed S] [--large-axes]
 //       Run the APS design-space exploration (characterize, analytic
 //       solve, neighborhood simulation) on a small grid (or, with
 //       --large-axes, the same preset grid `c2b dse --large-axes` sweeps)
 //       and print the chosen design plus the run's simulation/memory-access
 //       totals.
-//       --repeat re-runs the whole flow N times: repeats are served by the
-//       memoized simulation cache and must match the first run bit for bit
-//       (watch exec.simcache.hit in --metrics-out).
 //   c2b dse [--workload <name>] [--instructions N] [--per-core-cap N]
 //           [--area A] [--shared-area A] [--seed S] [--pareto]
 //           [--power-budget P] [--bw-budget B] [--noc-budget L]
-//           [--surrogate | --no-surrogate] [--surrogate-band B]
-//           [--surrogate-warmup N] [--large-axes]
+//           [--surrogate] [--large-axes]
 //       Run the full-factorial DSE (every feasible grid point simulated,
 //       batched over shared trace streams) and print the ground-truth best
 //       design plus the batch/cache effectiveness summary.
 //       --surrogate enables the MLP-guided sweep pruner: trace-equivalence
-//       classes whose predicted best member falls outside the relative
-//       --surrogate-band (default 0.25) of the incumbent are skipped, after
-//       --surrogate-warmup (default 3) exact samples per class seed the
+//       classes whose predicted best member falls more than 25% above the
+//       incumbent are skipped, after 3 exact samples per class seed the
 //       model; a guaranteed exact fallback pass makes the printed optimum
 //       (and the --pareto frontier) simulator ground truth either way.
 //       --large-axes swaps in the Fig.-12-scale preset grid (~10^5 points)
@@ -56,16 +51,15 @@
 //       classes, per-class sim-time percentiles, and (with --heatmap-out)
 //       an objective-vs-(N, cache split) CSV heatmap.
 //   c2b check [--family all|analytic|determinism|invariants|kernel|constraint|surrogate|cache]
-//             [--seed S] [--configs N] [--aps-configs N] [--cases N]
-//             [--designs N] [--kernel-configs N] [--constraint-sets N]
-//             [--surrogate-sets N] [--cache-sets N] [--bands-out <file>]
-//             [--corpus <dir>]
+//             [--seed S] [--bands-out <file>]
 //       Run the differential oracle families (analytic model vs simulator
 //       tolerance bands, serial-vs-parallel determinism on random configs,
-//       invariant registry). Deterministic for a fixed --seed; failures
-//       print a one-line C2B_CHECK_SEED/C2B_CHECK_CASE repro and exit
-//       nonzero. --bands-out exports the per-workload tolerance bands as
-//       JSON; --corpus persists shrunk property counterexamples.
+//       invariant registry, ...) at their fixed sizes. Deterministic for a
+//       fixed --seed; each failure names the `c2b check --family F --seed S`
+//       command that reruns it, and the run exits nonzero. --bands-out
+//       exports the per-workload tolerance bands as JSON; the invariant
+//       family persists shrunk property counterexamples under
+//       $C2B_CHECK_CORPUS when it is set.
 //
 // Flags accepted by every command:
 //   --threads N            parallel execution width for the DSE/APS sweeps
@@ -75,7 +69,6 @@
 //                          the command (JSON, or CSV when path ends .csv)
 //   --trace-out <path>     dump recorded spans as Chrome trace-event JSON
 //                          (load in chrome://tracing or Perfetto)
-//   --span-sample-period N record only every Nth span per thread
 //   --journal-out <path>   record the run into an append-only JSONL journal
 //                          (the flight recorder `c2b report` replays)
 //   --progress[=N]         live progress/ETA line on stderr, redrawn at
@@ -468,40 +461,6 @@ bool apply_constraint_flags(const Args& args, const char* command, DseContext& c
   return true;
 }
 
-/// Shared `--surrogate` / `--no-surrogate` / `--surrogate-band` /
-/// `--surrogate-warmup` handling for the sweep commands. The two boolean
-/// flags are mutually exclusive; the band must be finite and >= 0 and the
-/// warmup >= 1 (non-numeric text is rejected by the parser itself). Returns
-/// false after printing an error, exit nonzero either way.
-bool apply_surrogate_flags(const Args& args, const char* command, DseContext& context) {
-  const bool on = args.get("surrogate", std::string("false")) == "true";
-  const bool off = args.get("no-surrogate", std::string("false")) == "true";
-  if (on && off) {
-    std::fprintf(stderr, "%s: --surrogate and --no-surrogate are mutually exclusive\n",
-                 command);
-    return false;
-  }
-  if (on) context.surrogate_enabled = true;
-  if (off) context.surrogate_enabled = false;
-  if (args.has("surrogate-band")) {
-    const double band = args.get("surrogate-band", 0.0);
-    if (!(band >= 0.0) || !std::isfinite(band)) {
-      std::fprintf(stderr, "%s: --surrogate-band must be a finite value >= 0\n", command);
-      return false;
-    }
-    context.surrogate_band = band;
-  }
-  if (args.has("surrogate-warmup")) {
-    const auto warmup = args.get("surrogate-warmup", 0LL);
-    if (warmup < 1) {
-      std::fprintf(stderr, "%s: --surrogate-warmup must be >= 1\n", command);
-      return false;
-    }
-    context.surrogate_warmup = static_cast<std::size_t>(warmup);
-  }
-  return true;
-}
-
 void print_surrogate_summary(const SurrogateStats& stats) {
   if (stats.classes_total == 0) return;
   const double class_pct =
@@ -577,27 +536,11 @@ int cmd_aps(const Args& args) {
       static_cast<std::size_t>(args.get("radius", 1LL));
   options.characterize.instructions =
       static_cast<std::uint64_t>(args.get("characterize-instructions", 60'000LL));
-  const auto repeat = args.get("repeat", 1LL);
   const GridSpace space = sweep_space(args);
   args.finish();
-  if (repeat < 1) {
-    std::fprintf(stderr, "aps: --repeat must be >= 1\n");
-    return 2;
-  }
 
   journal_sweep_config("aps", *context, space.size());
-  ApsResult aps = run_aps(*context, space, options);
-  // Re-running the same neighborhood hits the memoized simulation cache;
-  // every repeat must reproduce the first result bit for bit (the
-  // exec.simcache.* counters in --metrics-out show the hit traffic).
-  for (long long r = 1; r < repeat; ++r) {
-    const ApsResult again = run_aps(*context, space, options);
-    if (again.best_index != aps.best_index || again.best_time != aps.best_time ||
-        again.memory_accesses != aps.memory_accesses) {
-      std::fprintf(stderr, "aps: repeat %lld diverged from the first run\n", r);
-      return 1;
-    }
-  }
+  const ApsResult aps = run_aps(*context, space, options);
 
   std::printf("APS on workload %s (%s), %zu-point grid\n", spec.name.c_str(),
               spec.emulates.c_str(), space.size());
@@ -624,7 +567,7 @@ int cmd_aps(const Args& args) {
 int cmd_dse(const Args& args) {
   std::optional<DseContext> context = sweep_context(args, "dse");
   if (!context) return 2;
-  if (!apply_surrogate_flags(args, "dse", *context)) return 2;
+  context->surrogate_enabled = args.get("surrogate", std::string("false")) == "true";
   const WorkloadSpec& spec = context->workload;
   const bool pareto = args.has("pareto");
   args.mark_used("pareto");
@@ -748,15 +691,6 @@ int cmd_trace(const Args& args) {
 int cmd_check(const Args& args) {
   check::OracleOptions options;
   options.seed = static_cast<std::uint64_t>(args.get("seed", 42LL));
-  options.dse_configs = static_cast<std::size_t>(args.get("configs", 100LL));
-  options.aps_configs = static_cast<std::size_t>(args.get("aps-configs", 4LL));
-  options.invariant_cases = static_cast<std::size_t>(args.get("cases", 60LL));
-  options.designs_per_workload = static_cast<std::size_t>(args.get("designs", 5LL));
-  options.kernel_configs = static_cast<std::size_t>(args.get("kernel-configs", 40LL));
-  options.constraint_sets = static_cast<std::size_t>(args.get("constraint-sets", 6LL));
-  options.surrogate_sets = static_cast<std::size_t>(args.get("surrogate-sets", 3LL));
-  options.cache_sets = static_cast<std::size_t>(args.get("cache-sets", 3LL));
-  options.corpus_dir = args.get("corpus", std::string(""));
   const std::string bands_out = args.get("bands-out", std::string(""));
   const std::string family = args.get("family", std::string("all"));
   args.finish();
@@ -764,25 +698,15 @@ int cmd_check(const Args& args) {
   std::vector<check::OracleReport> reports;
   if (family == "all") {
     reports = check::run_all_oracles(options);
-  } else if (family == "analytic") {
-    reports.push_back(check::run_analytic_vs_sim_oracle(options));
-  } else if (family == "determinism") {
-    reports.push_back(check::run_determinism_oracle(options));
-  } else if (family == "invariants") {
-    reports.push_back(check::run_invariant_oracle(options));
-  } else if (family == "kernel") {
-    reports.push_back(check::run_kernel_equivalence_oracle(options));
-  } else if (family == "constraint") {
-    reports.push_back(check::run_constraint_oracle(options));
-  } else if (family == "surrogate") {
-    reports.push_back(check::run_surrogate_oracle(options));
-  } else if (family == "cache") {
-    reports.push_back(check::run_persistent_cache_oracle(options));
   } else {
-    std::fprintf(stderr,
-                 "check: unknown --family '%s' (want all|analytic|determinism|invariants|kernel|constraint|surrogate|cache)\n",
-                 family.c_str());
-    return 2;
+    for (const check::OracleFamily& f : check::oracle_families())
+      if (f.flag == family) reports.push_back(f.run(options));
+    if (reports.empty()) {
+      std::fprintf(stderr,
+                   "check: unknown --family '%s' (want all|analytic|determinism|invariants|kernel|constraint|surrogate|cache)\n",
+                   family.c_str());
+      return 2;
+    }
   }
 
   bool all_passed = true;
@@ -823,23 +747,22 @@ int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const std::set<std::string> boolean_flags{
-      "simpoints", "asymmetric", "coherence",   "progress",
-      "pareto",    "surrogate",  "no-surrogate", "large-axes"};
+      "simpoints", "asymmetric", "coherence", "progress",
+      "pareto",    "surrogate",  "large-axes"};
   const Args args(argc, argv, 2, boolean_flags);
 
   // Cross-command flags; read before dispatch so the per-command finish()
   // does not reject them as unknown.
-  const auto threads = args.get("threads", 0LL);
-  if (threads < 0) {
-    std::fprintf(stderr, "c2b: --threads must be >= 1\n");
-    return 2;
+  if (args.has("threads")) {
+    const auto threads = args.get("threads", 0LL);
+    if (threads < 1) {
+      std::fprintf(stderr, "c2b: --threads must be >= 1\n");
+      return 2;
+    }
+    exec::set_thread_count(static_cast<std::size_t>(threads));
   }
-  if (threads > 0) exec::set_thread_count(static_cast<std::size_t>(threads));
   const std::string metrics_out = args.get("metrics-out", std::string(""));
   const std::string trace_out = args.get("trace-out", std::string(""));
-  const auto sample_period = args.get("span-sample-period", 1LL);
-  if (sample_period > 1)
-    obs::set_span_sample_period(static_cast<std::uint32_t>(sample_period));
 
   RecorderSession recorder;
   const std::string journal_out = args.get("journal-out", std::string(""));
@@ -854,8 +777,12 @@ int run(int argc, char** argv) {
   // `--progress` renders at the default interval; `--progress=N` overrides
   // it (milliseconds; 0 redraws on every update).
   if (const auto interval_ms = args.get_opt("progress", 500)) {
+    if (*interval_ms < 0) {
+      std::fprintf(stderr, "c2b: --progress must be >= 0\n");
+      return 2;
+    }
     obs::ProgressMeter::Options options;
-    options.interval_ms = *interval_ms > 0 ? static_cast<std::uint64_t>(*interval_ms) : 0;
+    options.interval_ms = static_cast<std::uint64_t>(*interval_ms);
     recorder.progress = std::make_unique<obs::ProgressMeter>(options);
     obs::set_active_progress(recorder.progress.get());
   }
