@@ -295,109 +295,91 @@ bool design_feasible(const DseContext& context, const std::vector<double>& point
 
 namespace {
 
-/// Members of one work unit: indices into the caller's point list, all in
-/// the same trace-equivalence class. Bounded so the K simulator instances'
-/// working sets stay cache-resident and classes still split into enough
-/// units to feed the thread pool.
-constexpr std::size_t kMaxBatchMembers = 16;
+/// Lanes one work unit may replay: members x cores stays within this, so
+/// the K simulator instances' working sets stay cache-resident and a wide
+/// class splits into enough units to feed the thread pool.
+constexpr std::size_t kUnitLanes = 32;
+/// Members one work unit may hold, whatever its core count.
+constexpr std::size_t kMaxUnitMembers = 16;
+
+/// The largest power of two of members, at most kMaxUnitMembers, whose
+/// members x cores fits kUnitLanes (at least one member).
+std::size_t unit_member_cap(std::uint32_t cores) {
+  std::size_t cap = kMaxUnitMembers;
+  while (cap > 1 && cap * cores > kUnitLanes) cap >>= 1;
+  return cap;
+}
+
+/// Every stream of one trace-equivalence class, generated once per call and
+/// read by all of the class's units: the serial phase's stream (when that
+/// phase runs) is stream 0, the parallel phase's per-core streams follow.
+struct ClassTrace {
+  std::uint32_t cores = 0;
+  PhasePlan plan;
+  TraceChunkStore store;
+  std::size_t first_parallel = 0;  ///< stream id of parallel core 0
+};
+
+std::unique_ptr<ClassTrace> make_class_trace(const DseContext& context, std::uint32_t cores) {
+  auto trace = std::make_unique<ClassTrace>();
+  trace->cores = cores;
+  trace->plan = make_phase_plan(context, cores);
+  const PhasePlan& plan = trace->plan;
+  if (plan.serial_window != 0)
+    trace->store.add_stream(make_serial_generator(context, plan), plan.serial_window);
+  trace->first_parallel = trace->store.stream_count();
+  if (plan.parallel_window != 0)
+    for (std::uint32_t c = 0; c < cores; ++c)
+      trace->store.add_stream(make_parallel_generator(context, plan, c), plan.parallel_window);
+  return trace;
+}
 
 struct BatchUnit {
   std::vector<std::size_t> members;
   std::size_t class_index = 0;  ///< which trace-equivalence class this unit belongs to
 };
 
-/// Constructed-but-never-pulled generators for one trace-equivalence class,
-/// built once and clone()d by every unit of the class. Construction is the
-/// expensive part of a stream (e.g. PointerChaseGenerator's Fisher-Yates
-/// permutation build); a clone of a pristine prototype replays the same
-/// records for a fraction of the cost, and cloning from a const prototype
-/// is thread-safe (pure copy). Only built for classes with >= 2 units —
-/// a lone unit constructs its generators directly.
-struct ClassPrototypes {
-  std::unique_ptr<TraceGenerator> serial;                 ///< null when not built
-  std::vector<std::unique_ptr<TraceGenerator>> parallel;  ///< one per core, or empty
-};
-
 struct BatchUnitResult {
   std::vector<BatchSimOutcome> outcomes;  ///< parallel to the unit's members
-  std::uint64_t chunks_shared = 0;
-  std::uint64_t regen_avoided_accesses = 0;
   sim::BatchKernelStats kernel;
 };
 
-/// Simulate one unit: generate each phase's streams once into a shared
-/// chunk store and replay all members over them in lockstep. This is the
-/// only production simulation path of a design. The replay is timing-only:
-/// fold_phases reads cycles, CPI and access counts, never C-AMAT.
-BatchUnitResult run_batch_unit(const DseContext& context,
-                               const std::vector<sim::SystemConfig>& configs,
-                               const BatchUnit& unit, const ClassPrototypes& prototypes) {
+/// Simulate one unit: replay all members in lockstep over their class's
+/// shared streams. This is the only production simulation path of a
+/// design. The replay is timing-only: fold_phases reads cycles, CPI and
+/// access counts, never C-AMAT.
+BatchUnitResult run_batch_unit(const std::vector<sim::SystemConfig>& configs,
+                               const BatchUnit& unit, const ClassTrace& trace) {
   const std::size_t k = unit.members.size();
-  const std::uint32_t n = configs[unit.members.front()].hierarchy.cores;
-  const PhasePlan plan = make_phase_plan(context, n);
-
-  // Clone the class prototypes when the class has them; otherwise
-  // construct from scratch. Both produce bit-identical streams.
-  const auto serial_stream = [&] {
-    return prototypes.serial ? prototypes.serial->clone() : make_serial_generator(context, plan);
-  };
-  const auto parallel_stream = [&](std::uint32_t c) {
-    return prototypes.parallel.empty() ? make_parallel_generator(context, plan, c)
-                                       : prototypes.parallel[c]->clone();
-  };
-
   std::vector<sim::SystemConfig> member_configs;
   member_configs.reserve(k);
   for (const std::size_t index : unit.members) member_configs.push_back(configs[index]);
 
   BatchUnitResult out;
-  const auto fold_store_stats = [&out](const TraceChunkStore& store) {
-    out.chunks_shared += store.stats().chunks_shared;
-    out.regen_avoided_accesses += store.stats().regen_avoided_accesses;
-  };
-
-  // ---- Serial phase: one shared stream, K single-core members ----
-  std::vector<sim::SystemResult> serial;
-  if (plan.serial_window != 0) {
-    TraceChunkStore store;
-    const std::size_t stream = store.add_stream(serial_stream(), plan.serial_window);
-    store.set_readers(static_cast<std::uint32_t>(k));
+  // One phase: every member gets its own cursors over streams
+  // [first, first + streams) of the class trace.
+  const auto replay = [&](std::size_t first, std::uint32_t streams) {
     std::vector<ChunkCursor> cursors;
-    cursors.reserve(k);
+    cursors.reserve(k * streams);
     std::vector<std::vector<TraceCursor*>> member_cursors(k);
     for (std::size_t m = 0; m < k; ++m) {
-      cursors.emplace_back(store, stream);
-      member_cursors[m] = {&cursors.back()};
-    }
-    serial = sim::simulate_system_batched(member_configs, member_cursors,
-                                          sim::ReplayMode::kTimingOnly, &out.kernel);
-    fold_store_stats(store);
-  }
-
-  // ---- Parallel phase: n shared streams, K n-core members ----
-  std::vector<sim::SystemResult> parallel;
-  if (plan.parallel_window != 0) {
-    TraceChunkStore store;
-    for (std::uint32_t c = 0; c < n; ++c) store.add_stream(parallel_stream(c), plan.parallel_window);
-    store.set_readers(static_cast<std::uint32_t>(k));
-    std::vector<ChunkCursor> cursors;
-    cursors.reserve(k * n);
-    std::vector<std::vector<TraceCursor*>> member_cursors(k);
-    for (std::size_t m = 0; m < k; ++m) {
-      member_cursors[m].reserve(n);
-      for (std::uint32_t c = 0; c < n; ++c) {
-        cursors.emplace_back(store, c);
+      member_cursors[m].reserve(streams);
+      for (std::uint32_t c = 0; c < streams; ++c) {
+        cursors.emplace_back(trace.store, first + c);
         member_cursors[m].push_back(&cursors.back());
       }
     }
-    parallel = sim::simulate_system_batched(member_configs, member_cursors,
-                                            sim::ReplayMode::kTimingOnly, &out.kernel);
-    fold_store_stats(store);
-  }
+    return sim::simulate_system_batched(member_configs, member_cursors,
+                                        sim::ReplayMode::kTimingOnly, &out.kernel);
+  };
+  std::vector<sim::SystemResult> serial;
+  if (trace.plan.serial_window != 0) serial = replay(0, 1);
+  std::vector<sim::SystemResult> parallel;
+  if (trace.plan.parallel_window != 0) parallel = replay(trace.first_parallel, trace.cores);
 
   out.outcomes.reserve(k);
   for (std::size_t m = 0; m < k; ++m)
-    out.outcomes.push_back(fold_phases(plan, serial.empty() ? nullptr : &serial[m],
+    out.outcomes.push_back(fold_phases(trace.plan, serial.empty() ? nullptr : &serial[m],
                                        parallel.empty() ? nullptr : &parallel[m]));
   return out;
 }
@@ -503,21 +485,24 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
     if (obs::ProgressMeter* progress = obs::active_progress())
       progress->advance(static_cast<double>(local.cache_hits));
 
-  // Split each class into bounded units, greedily taking the largest
-  // power of two <= min(remaining, kMaxBatchMembers) so unit widths are
-  // powers of two wherever the class size allows (36 -> 16,16,4). The
-  // layout depends only on the point list (never on thread count), so the
-  // units — and therefore every simulated stream pairing — are
-  // deterministic.
+  // Split each class into lane-bounded units, greedily taking the largest
+  // power of two <= min(remaining, unit_member_cap(cores)) so unit widths
+  // are powers of two wherever the class size allows (N=2, 36 members ->
+  // 16,16,4; N=12, 21 members -> ten 2s and a 1). Then order the units
+  // longest-first by lanes (members x cores; stable, so ties keep class
+  // order): the pool deals units out in index order, so the widest start
+  // first and the call's span stays near one unit. The layout depends only
+  // on the point list (never on thread count), so the units, and therefore
+  // every simulated stream pairing, are deterministic.
+  std::vector<std::uint32_t> class_cores;
   std::vector<BatchUnit> units;
-  std::size_t class_count = 0;
   for (const auto& [cores, members] : classes) {
-    (void)cores;
-    const std::size_t class_index = class_count++;
-    ++local.classes;
+    const std::size_t class_index = class_cores.size();
+    class_cores.push_back(cores);
+    const std::size_t cap = unit_member_cap(cores);
     std::size_t begin = 0;
     while (begin < members.size()) {
-      std::size_t take = kMaxBatchMembers;
+      std::size_t take = cap;
       while (take > members.size() - begin) take >>= 1;
       const std::size_t end = begin + take;
       units.push_back(BatchUnit{{members.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -526,54 +511,39 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
       begin = end;
     }
   }
+  local.classes = class_cores.size();
+  const auto lanes = [&](const BatchUnit& unit) {
+    return unit.members.size() * class_cores[unit.class_index];
+  };
+  std::stable_sort(units.begin(), units.end(), [&](const BatchUnit& a, const BatchUnit& b) {
+    return lanes(a) > lanes(b);
+  });
 
-  // Build per-class prototype generators for classes spanning >= 2 units:
-  // each unit then clone()s the pristine prototypes instead of re-running
-  // the expensive generator construction (dominant in profile for e.g.
-  // pointer-chase permutation builds). Built on the pool — one task per
-  // class — before the unit sweep; unit tasks only read the prototypes.
-  std::vector<std::size_t> units_per_class(class_count, 0);
-  for (const BatchUnit& unit : units) ++units_per_class[unit.class_index];
-  std::vector<std::uint32_t> class_cores;
-  class_cores.reserve(class_count);
-  for (const auto& [cores, members] : classes) {
-    (void)members;
-    class_cores.push_back(cores);
-  }
-  const std::vector<ClassPrototypes> prototypes =
-      exec::ThreadPool::global().parallel_map<ClassPrototypes>(
-          class_count, [&](std::size_t class_index) {
-            ClassPrototypes protos;
-            if (units_per_class[class_index] < 2) return protos;
-            const PhasePlan plan = make_phase_plan(context, class_cores[class_index]);
-            if (plan.serial_window != 0) protos.serial = make_serial_generator(context, plan);
-            if (plan.parallel_window != 0) {
-              protos.parallel.reserve(class_cores[class_index]);
-              for (std::uint32_t c = 0; c < class_cores[class_index]; ++c)
-                protos.parallel.push_back(make_parallel_generator(context, plan, c));
-            }
-            return protos;
-          });
+  // Generate every class's streams once, on the pool (one task per class),
+  // before the unit sweep; units then only read them.
+  const std::vector<std::unique_ptr<ClassTrace>> traces =
+      exec::ThreadPool::global().parallel_map<std::unique_ptr<ClassTrace>>(
+          class_cores.size(),
+          [&](std::size_t class_index) { return make_class_trace(context, class_cores[class_index]); });
 
   // Scheduled events go out serially in unit order (the layout above is
   // thread-count independent, so this stream is deterministic).
   if (journal != nullptr)
     for (std::size_t u = 0; u < units.size(); ++u)
-      journal->emit(
-          obs::JournalEvent("class_scheduled")
-              .count("unit", u)
-              .count("cores", configs[units[u].members.front()].hierarchy.cores)
-              .count("members", units[u].members.size()));
+      journal->emit(obs::JournalEvent("class_scheduled")
+                        .count("unit", u)
+                        .count("cores", class_cores[units[u].class_index])
+                        .count("members", units[u].members.size()));
 
   // One unit per pool task; parallel_map keeps results in unit order, and
   // each unit only writes its own slot, so the reduction below is serial
-  // and index-ordered — the same determinism shape as the PR 2 sweeps.
+  // and index-ordered.
   const std::vector<BatchUnitResult> unit_results =
       exec::ThreadPool::global().parallel_map<BatchUnitResult>(
           units.size(), [&](std::size_t u) {
+            const BatchUnit& unit = units[u];
             const auto start = std::chrono::steady_clock::now();
-            BatchUnitResult result =
-                run_batch_unit(context, configs, units[u], prototypes[units[u].class_index]);
+            BatchUnitResult result = run_batch_unit(configs, unit, *traces[unit.class_index]);
             const double wall_ms =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
@@ -584,7 +554,6 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
             // identical for every thread count (wall_ms is wall clock and
             // of course is not).
             if (obs::RunJournal* active = obs::active_journal()) {
-              const BatchUnit& unit = units[u];
               const std::vector<double>& point = points[unit.members.front()];
               char config_buf[96];
               std::snprintf(config_buf, sizeof config_buf,
@@ -594,35 +563,42 @@ std::vector<BatchSimOutcome> simulate_design_times_batched(const DseContext& con
               active->emit(
                   obs::JournalEvent("class_completed")
                       .count("unit", u)
-                      .count("cores", configs[unit.members.front()].hierarchy.cores)
+                      .count("cores", class_cores[unit.class_index])
                       .count("members", unit.members.size())
                       .num("wall_ms", wall_ms)
                       .str("config", config_buf));
               active->snapshot_metrics();
             }
             if (obs::ProgressMeter* progress = obs::active_progress())
-              progress->advance(static_cast<double>(units[u].members.size()));
+              progress->advance(static_cast<double>(unit.members.size()));
             return result;
           });
 
-  std::vector<std::pair<std::string, exec::SimCache::Value>> inserts;
-  inserts.reserve(points.size());
   for (std::size_t u = 0; u < units.size(); ++u) {
     const BatchUnit& unit = units[u];
     const BatchUnitResult& result = unit_results[u];
-    for (std::size_t m = 0; m < unit.members.size(); ++m) {
-      const std::size_t index = unit.members[m];
-      outcomes[index] = result.outcomes[m];
-      if (!keys[index].empty())
-        inserts.emplace_back(std::move(keys[index]),
-                             exec::SimCache::Value{result.outcomes[m].time,
-                                                   result.outcomes[m].memory_accesses});
-    }
-    local.chunks_shared += result.chunks_shared;
-    local.regen_avoided_accesses += result.regen_avoided_accesses;
+    for (std::size_t m = 0; m < unit.members.size(); ++m) outcomes[unit.members[m]] = result.outcomes[m];
     local.simd_steps += result.kernel.simd_steps;
     local.simd_peels += result.kernel.simd_peels;
     local.simd_lanes_active += result.kernel.simd_lanes_active;
+  }
+  // Every member reads all of its class's trace; each one after the first
+  // read it instead of regenerating it. Inserts go in class order.
+  std::vector<std::pair<std::string, exec::SimCache::Value>> inserts;
+  inserts.reserve(points.size());
+  std::size_t class_index = 0;
+  for (const auto& [cores, members] : classes) {
+    (void)cores;
+    const ChunkStoreStats& generated = traces[class_index++]->store.stats();
+    const std::uint64_t later_readers = members.size() - 1;
+    local.records_generated += generated.records_generated;
+    local.chunks_shared += later_readers * generated.chunks_generated;
+    local.regen_avoided_accesses += later_readers * generated.accesses_generated;
+    for (const std::size_t index : members)
+      if (!keys[index].empty())
+        inserts.emplace_back(std::move(keys[index]),
+                             exec::SimCache::Value{outcomes[index].time,
+                                                   outcomes[index].memory_accesses});
   }
   cache.insert_many(inserts);
 

@@ -739,7 +739,6 @@ void check_batch_widths(const OracleOptions& options, OracleReport& report) {
         for (std::uint32_t c = 0; c < n; ++c)
           store.add_stream(spec.make_generator(scale, Rng::derive_stream_seed(stream_seed, c)),
                            window);
-        store.set_readers(static_cast<std::uint32_t>(width));
         std::vector<ChunkCursor> cursors;
         cursors.reserve(width * n);
         std::vector<std::vector<TraceCursor*>> member_cursors(width);

@@ -95,29 +95,43 @@ double Rng::exponential(double rate) noexcept {
 }
 
 std::size_t Rng::zipf(std::size_t n, double s) noexcept {
-  if (n <= 1) return 0;
-  // Inverse-CDF sampling via rejection against the continuous bounding
-  // distribution (Devroye). Exact for the discrete Zipf over [1, n].
+  return ZipfDistribution(n, s)(*this);
+}
+
+ZipfDistribution::ZipfDistribution(std::size_t n, double s) noexcept
+    : n_(n), s_(s), top_(0.0), inverse_(0.0) {
+  if (n <= 1) return;
   const double nd = static_cast<double>(n);
   if (s == 1.0) {
-    // Harmonic special case: invert the log CDF.
-    const double u = uniform();
-    const double k = std::exp(u * std::log(nd + 1.0));
-    const auto idx = static_cast<std::size_t>(k) - 1;
-    return idx >= n ? n - 1 : idx;
+    top_ = std::log(nd + 1.0);
+    return;
   }
   const double one_minus_s = 1.0 - s;
+  top_ = std::pow(nd + 1.0, one_minus_s);
+  inverse_ = 1.0 / one_minus_s;
+}
+
+std::size_t ZipfDistribution::operator()(Rng& rng) const noexcept {
+  if (n_ <= 1) return 0;
+  // Inverse-CDF sampling via rejection against the continuous bounding
+  // distribution (Devroye). Exact for the discrete Zipf over [1, n].
+  if (s_ == 1.0) {
+    // Harmonic special case: invert the log CDF.
+    const double u = rng.uniform();
+    const double k = std::exp(u * top_);
+    const auto idx = static_cast<std::size_t>(k) - 1;
+    return idx >= n_ ? n_ - 1 : idx;
+  }
   for (;;) {
-    const double u = uniform();
+    const double u = rng.uniform();
     // Inverse of the continuous CDF F(x) = (x^{1-s} - 1) / ((n+1)^{1-s} - 1).
-    const double top = std::pow(nd + 1.0, one_minus_s);
-    const double x = std::pow(u * (top - 1.0) + 1.0, 1.0 / one_minus_s);
+    const double x = std::pow(u * (top_ - 1.0) + 1.0, inverse_);
     const auto k = static_cast<std::size_t>(x);
-    if (k >= 1 && k <= n) {
+    if (k >= 1 && k <= n_) {
       // Accept with ratio of discrete pmf to continuous envelope; the
       // envelope is tight so acceptance is ~1 for s in (0, 4].
-      const double ratio = std::pow(static_cast<double>(k) / x, s);
-      if (uniform() <= ratio) return k - 1;
+      const double ratio = std::pow(static_cast<double>(k) / x, s_);
+      if (rng.uniform() <= ratio) return k - 1;
     }
   }
 }

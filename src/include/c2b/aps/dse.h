@@ -140,8 +140,12 @@ struct BatchReplayStats {
   std::size_t simulated = 0;   ///< distinct simulation keys among members: the ones replayed
   std::size_t cache_hits = 0;  ///< points peeled off by the sim cache (either tier)
   std::size_t cache_hits_disk = 0;  ///< the subset of cache_hits served from the disk tier
-  std::uint64_t chunks_shared = 0;            ///< extra consumers over generated chunks
-  std::uint64_t regen_avoided_accesses = 0;   ///< memory accesses not regenerated
+  // Trace sharing. Each class's trace is generated once per call and every
+  // member reads all of it, so every member after a class's first reads its
+  // chunks (and their accesses) instead of regenerating them.
+  std::uint64_t records_generated = 0;        ///< trace records generated, all classes
+  std::uint64_t chunks_shared = 0;            ///< chunks read from a class trace after its first member
+  std::uint64_t regen_avoided_accesses = 0;   ///< the accesses in those chunks
   // Replay-kernel accounting (sim::BatchKernelStats, summed over units).
   std::uint64_t simd_steps = 0;
   std::uint64_t simd_peels = 0;
@@ -153,6 +157,7 @@ struct BatchReplayStats {
     simulated += other.simulated;
     cache_hits += other.cache_hits;
     cache_hits_disk += other.cache_hits_disk;
+    records_generated += other.records_generated;
     chunks_shared += other.chunks_shared;
     regen_avoided_accesses += other.regen_avoided_accesses;
     simd_steps += other.simd_steps;
@@ -184,10 +189,13 @@ struct SurrogateStats {
 /// The one way to evaluate design points (one BatchSimOutcome per point,
 /// in order; a single design is a one-point call). Sim-cache hits are
 /// peeled off up front, the misses are grouped into trace-equivalence
-/// classes (see trace_class_key), each class generates its streams once
-/// into a shared chunk store, and the members replay them in lockstep
-/// (sim::simulate_system_batched). Classes are split into bounded work
-/// units and scheduled on the exec thread pool; the unit layout is a pure
+/// classes (see trace_class_key), and each class generates its streams once
+/// per call into an immutable chunk store that all of its members read.
+/// Classes are split into lane-bounded work units (members x cores <= 32,
+/// at most 16 members) that replay in lockstep
+/// (sim::simulate_system_batched) on the exec thread pool, widest first.
+/// A call therefore holds sum over its classes of (1 + N) x window trace
+/// records (~20 B each) until it returns. The unit layout is a pure
 /// function of the point list, so results are bit-identical at any thread
 /// count and batch width — and bit-identical to
 /// simulate_design_time_reference (the `kernel` oracle family enforces

@@ -52,7 +52,8 @@ class Rng {
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Geometric-like Zipf/power-law sample over [0, n): P(k) ∝ (k+1)^-s.
-  /// Used by trace generators to produce realistic reuse-distance skew.
+  /// One-off draw; repeated draws with fixed (n, s) should hold a
+  /// ZipfDistribution instead.
   std::size_t zipf(std::size_t n, double s) noexcept;
 
   /// Sample an index from an (unnormalized, non-negative) weight vector.
@@ -71,6 +72,22 @@ class Rng {
   std::uint64_t s_[4]{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// Zipf/power-law sampler over [0, n): P(k) ∝ (k+1)^-s, with the per-(n, s)
+/// constants computed once. Used by trace generators to produce realistic
+/// reuse-distance skew; draws are bit-identical to Rng::zipf(n, s).
+class ZipfDistribution {
+ public:
+  ZipfDistribution(std::size_t n, double s) noexcept;
+
+  std::size_t operator()(Rng& rng) const noexcept;
+
+ private:
+  std::size_t n_;
+  double s_;
+  double top_;      ///< (n+1)^(1-s); log(n+1) when s == 1
+  double inverse_;  ///< 1 / (1-s)
 };
 
 }  // namespace c2b

@@ -2,8 +2,9 @@
 
 // Post-mortem over a run journal: `c2b report` replays the JSONL event
 // stream written by RunJournal and aggregates it into a RunReport — phase
-// time breakdown, cache/batch effectiveness, slowest trace classes,
-// per-class sim-time percentiles, and an objective heatmap over the
+// time breakdown, cache/batch effectiveness, per-unit sim-time percentiles
+// with the slowest work units, each batched call's replay balance, and an
+// objective heatmap over the
 // explored (n_cores × cache split) plane. The builder is generic over
 // JournalRecord fields (it depends only on obs, not on aps), so journals
 // from future producers replay with the same tool.
@@ -33,19 +34,34 @@ struct RunReport {
   };
   std::vector<Phase> phases;
 
-  // --- trace classes (from `class_completed`, sorted by wall desc) ---
-  struct ClassStat {
+  // --- work units (from `class_completed`, sorted by wall desc) ---
+  struct UnitStat {
     double cores = 0.0;
     double members = 0.0;
     double wall_ms = 0.0;
     std::string config;  ///< producer-provided summary of one member config
   };
-  std::vector<ClassStat> classes;
-  double class_wall_p50 = 0.0;
-  double class_wall_p90 = 0.0;
-  double class_wall_p99 = 0.0;
+  std::vector<UnitStat> units;
+  double unit_wall_p50 = 0.0;
+  double unit_wall_p90 = 0.0;
+  double unit_wall_p99 = 0.0;
   double simulated_members = 0.0;  ///< sum of members over completed work units
-  double simulated_wall_ms = 0.0;  ///< sum of class wall times
+  double simulated_wall_ms = 0.0;  ///< sum of unit wall times
+
+  // --- replay balance, one entry per batched call that replayed units (a
+  // `cache_peel` opens a call; its `class_completed` events follow) ---
+  struct ReplayCall {
+    double units = 0.0;
+    double wall_ms = 0.0;     ///< cache_peel to the call's last completed unit
+    double unit_ms = 0.0;     ///< summed unit wall time
+    double longest_ms = 0.0;  ///< the slowest unit: the call's span
+    double threads = 0.0;     ///< pool width (`pool_start`, else `run_begin`)
+    /// Share of the call's thread time spent in units: unit_ms / (wall_ms x threads).
+    double efficiency() const {
+      return wall_ms > 0.0 && threads > 0.0 ? unit_ms / (wall_ms * threads) : 0.0;
+    }
+  };
+  std::vector<ReplayCall> replay_calls;
 
   // --- cache/batch effectiveness (from `cache_peel` / `run_end`) ---
   double points = 0.0;             ///< design points entering the sweep
@@ -139,7 +155,7 @@ double exact_quantile(std::vector<double> values, double q);
 RunReport build_report(const std::vector<JournalRecord>& records,
                        JournalReadStats stats = {});
 
-/// Human-readable post-mortem (top_k bounds the slowest-class table).
+/// Human-readable post-mortem (top_k bounds the slowest-unit table).
 std::string render_report(const RunReport& report, std::size_t top_k = 10);
 
 /// CSV heatmap: rows = n_cores, columns = (a1,a2) cache splits, cell =

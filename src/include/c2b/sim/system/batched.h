@@ -23,10 +23,8 @@
 // Members advance in lockstep over the shared trace streams: every member
 // is driven to a common, monotonically growing record target before any
 // member moves past it. Members therefore stay within ~one chunk of each
-// other (TraceCursor::compute_run never overruns the resident chunk), the
-// chunk store's resident window stays O(chunk) per stream, and each
-// generated chunk is consumed by all K members while hot in cache instead
-// of being regenerated K times.
+// other, so each chunk of a shared stream is read by all K members while
+// it is hot in cache.
 
 #include <cstdint>
 #include <vector>

@@ -1,51 +1,44 @@
 #pragma once
 
-// Shared, ref-counted trace chunk store for batched replay.
+// Immutable, shared trace store for batched replay.
 //
 // Within one DSE/APS trace-equivalence class every member consumes
 // bit-identical record streams (same workload/seed/footprint/window); only
-// the simulated hardware differs. TraceChunkStore generates each chunk of
-// such a stream exactly once and hands it to K ChunkCursor readers. A chunk
-// stays resident until every reader has consumed past it, then it is freed,
-// so residency is O(spread between the fastest and slowest reader), which
-// the lockstep driver (simulate_system_batched) bounds to ~one chunk.
+// the simulated hardware differs. TraceChunkStore generates each such
+// stream exactly once, in full, when the stream is added, and never writes
+// it again: any number of ChunkCursor readers, on any number of threads,
+// read the same records concurrently. A store therefore holds every record
+// of every stream it was given (~20 B each: the 16-B record plus its
+// compute-run entry).
 //
-// Each chunk carries a precomputed compute-run table (SoA sidecar): entry i
-// is the length of the run of consecutive kCompute records starting at i,
-// capped at the chunk boundary. That keeps ChunkCursor::compute_run() O(1)
-// per call and, because the cap is a *lower bound* on the true run length,
-// the kernel's compute fast path stays correct (TraceCursor contract).
+// Each stream carries a precomputed compute-run table (SoA sidecar): entry
+// i is the length of the run of consecutive kCompute records starting at
+// i, capped at the end of i's chunk. That keeps ChunkCursor::compute_run()
+// O(1) per call and, because the cap is a *lower bound* on the true run
+// length, the kernel's compute fast path stays correct (TraceCursor
+// contract). The chunk size only sets that cap; it is kept at the
+// streaming cursors' chunk so the kernel takes the same steps over either.
 //
-// The store is NOT thread-safe: one batch (store + K cursors + K simulator
-// instances) runs on a single thread; parallelism lives above it, across
-// batches, on the exec thread pool.
+// Add every stream before constructing cursors, on one thread; after that
+// the store is read-only.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "c2b/common/assert.h"
 #include "c2b/trace/trace.h"
 #include "c2b/trace/cursor.h"
 
 namespace c2b {
 
-/// Aggregate accounting for one store's lifetime (used for the
-/// exec.batch.* telemetry and for tests).
+/// What a store generated (used for the exec.batch.* telemetry and for tests).
 struct ChunkStoreStats {
-  std::uint64_t chunks_generated = 0;   ///< chunks produced across all streams
-  std::uint64_t records_generated = 0;  ///< records produced across all streams
-  /// Sum over released chunks of (readers - 1): how many times a resident
-  /// chunk was consumed by an *additional* reader instead of regenerated.
-  std::uint64_t chunks_shared = 0;
-  /// Records a 2nd..Kth reader consumed without regeneration.
-  std::uint64_t regen_avoided_records = 0;
-  /// The memory-access (load/store) subset of regen_avoided_records — the
-  /// unit the telemetry ledger counts in.
-  std::uint64_t regen_avoided_accesses = 0;
-  /// High-water mark of records resident across all streams at once.
-  std::size_t max_resident_records = 0;
+  std::uint64_t chunks_generated = 0;     ///< chunks produced across all streams
+  std::uint64_t records_generated = 0;    ///< records produced across all streams
+  std::uint64_t accesses_generated = 0;   ///< the load/store subset of records_generated
 };
 
 class ChunkCursor;
@@ -59,92 +52,61 @@ class TraceChunkStore {
   TraceChunkStore(const TraceChunkStore&) = delete;
   TraceChunkStore& operator=(const TraceChunkStore&) = delete;
 
-  /// Register a stream: exactly the first `count` records of
+  /// Generate a stream: exactly the first `count` records of
   /// `generator->next()` after a reset() (bit-identical to
-  /// GeneratorTraceCursor over the same generator). Returns the stream id.
+  /// GeneratorTraceCursor over the same generator). The generator is
+  /// dropped once the stream is complete. Returns the stream id.
   std::size_t add_stream(std::unique_ptr<TraceGenerator> generator, std::uint64_t count);
-
-  /// Declare how many ChunkCursor readers will consume *each* stream end to
-  /// end. Must be called before the first read; chunks are freed once all
-  /// `readers` cursors have consumed past them.
-  void set_readers(std::uint32_t readers);
 
   std::size_t stream_count() const noexcept { return streams_.size(); }
   std::uint64_t stream_length(std::size_t stream) const;
   std::size_t chunk_capacity() const noexcept { return chunk_; }
-  std::uint32_t readers() const noexcept { return readers_; }
 
   const ChunkStoreStats& stats() const noexcept { return stats_; }
 
  private:
   friend class ChunkCursor;
 
-  struct Chunk {
-    std::uint64_t base = 0;  ///< stream offset of records[0]
-    std::uint32_t readers_passed = 0;
-    std::uint64_t memory_records = 0;  ///< loads + stores in this chunk
+  struct Stream {
     std::vector<TraceRecord> records;
     /// compute_run[i] = consecutive kCompute records starting at i, capped
-    /// at the chunk end (a valid lower bound for TraceCursor::compute_run).
+    /// at the end of i's chunk (a valid lower bound for
+    /// TraceCursor::compute_run).
     std::vector<std::uint32_t> compute_run;
   };
 
-  struct Stream {
-    std::unique_ptr<TraceGenerator> generator;
-    std::uint64_t total = 0;     ///< stream length (fixed)
-    std::uint64_t produced = 0;  ///< records generated so far
-    std::uint64_t released = 0;  ///< records already freed (all offsets < released)
-    std::deque<Chunk> window;    ///< resident chunks, ascending base
-  };
-
-  /// Resident chunk containing stream offset `offset`, generating forward
-  /// on demand. Precondition: offset < total and offset >= released.
-  const Chunk& chunk_at(std::size_t stream, std::uint64_t offset);
-
-  /// A reader finished the resident chunk with this base; free chunks whose
-  /// readers have all passed.
-  void pass_chunk(std::size_t stream, std::uint64_t chunk_base);
-
-  void generate_next_chunk(Stream& s);
-
   std::size_t chunk_;
-  std::uint32_t readers_ = 1;
-  bool reads_started_ = false;
   std::vector<Stream> streams_;
-  std::size_t resident_records_ = 0;
   ChunkStoreStats stats_;
 };
 
-/// TraceCursor over one store stream. Multiple ChunkCursors on the same
-/// stream share its resident chunks; each cursor reports its passage so the
-/// store can free chunks behind the slowest reader. reset() is only valid
-/// while the cursor is still at the start of the stream (consumed chunks
-/// may already be freed); the simulator kernel never resets mid-stream.
+/// TraceCursor over one store stream. Any number of ChunkCursors, on any
+/// threads, may read the same stream: a cursor only moves its own offset.
+/// A cursor points into the store, so the store must outlive it.
 class ChunkCursor final : public TraceCursor {
  public:
-  ChunkCursor(TraceChunkStore& store, std::size_t stream);
+  ChunkCursor(const TraceChunkStore& store, std::size_t stream);
 
-  const TraceRecord* peek() override;
-  void advance() override;
-  std::size_t compute_run(std::size_t limit) override;
-  void skip(std::size_t count) override;
-  void reset() override;
+  const TraceRecord* peek() override { return offset_ < total_ ? records_ + offset_ : nullptr; }
+  void advance() override { ++offset_; }
+  std::size_t compute_run(std::size_t limit) override {
+    if (offset_ >= total_) return 0;
+    return std::min<std::size_t>(limit, runs_[offset_]);
+  }
+  void skip(std::size_t count) override {
+    C2B_ASSERT(count <= total_ - offset_, "skip past end of stream");
+    offset_ += count;
+  }
+  void reset() override { offset_ = 0; }
 
   std::uint64_t stream_length() const noexcept { return total_; }
   std::uint64_t position() const noexcept { return offset_; }
 
  private:
-  /// Make chunk_ the resident chunk containing offset_ (nullptr at EOS).
-  void ensure_chunk();
-  /// Called when offset_ reaches the end of chunk_: report passage, drop ref.
-  void finish_chunk();
-
-  TraceChunkStore* store_;
-  std::size_t stream_;
+  const TraceRecord* records_;
+  const std::uint32_t* runs_;
   std::uint64_t total_;
   std::uint64_t offset_ = 0;
-  const TraceChunkStore::Chunk* chunk_ = nullptr;
-  std::uint64_t chunk_end_ = 0;  ///< stream offset one past chunk_'s last record
 };
 
 }  // namespace c2b

@@ -60,10 +60,6 @@ class TiledMatMulGenerator final : public detail::BufferedGenerator {
   TiledMatMulGenerator(std::size_t matrix_dim, std::size_t tile_dim,
                        std::uint64_t base_address = 0);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<TiledMatMulGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
@@ -80,10 +76,6 @@ class StencilGenerator final : public detail::BufferedGenerator {
  public:
   explicit StencilGenerator(std::size_t grid_dim, std::uint64_t base_address = 0);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<StencilGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
@@ -98,10 +90,6 @@ class StencilGenerator final : public detail::BufferedGenerator {
 class FftGenerator final : public detail::BufferedGenerator {
  public:
   explicit FftGenerator(unsigned log2_n, std::uint64_t base_address = 0);
-
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<FftGenerator>(*this);
-  }
 
  private:
   void refill(std::vector<TraceRecord>& out) override;
@@ -120,10 +108,6 @@ class BandSparseGenerator final : public detail::BufferedGenerator {
  public:
   BandSparseGenerator(std::size_t rows, std::size_t band, std::uint64_t base_address = 0);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<BandSparseGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
@@ -141,18 +125,11 @@ class PointerChaseGenerator final : public detail::BufferedGenerator {
   PointerChaseGenerator(std::size_t lines, unsigned computes_per_access, std::uint64_t seed,
                         std::uint64_t base_address = 0);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<PointerChaseGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
 
-  /// Immutable after construction; clones share it (building the Sattolo
-  /// cycle is the expensive part of construction, so prototype-clone
-  /// batched sweeps must not redo or recopy it per clone).
-  std::shared_ptr<const std::vector<std::uint32_t>> permutation_;
+  std::vector<std::uint32_t> permutation_;  ///< the Sattolo cycle, immutable after construction
   unsigned computes_per_access_;
   std::uint64_t base_;
   std::size_t current_ = 0;
@@ -175,19 +152,15 @@ class ZipfStreamGenerator final : public detail::BufferedGenerator {
 
   explicit ZipfStreamGenerator(const Params& params);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<ZipfStreamGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
 
   Params params_;
   Rng rng_;
-  /// Permutation so hot lines are scattered. Immutable after construction;
-  /// clones share it instead of recopying the working-set-sized table.
-  std::shared_ptr<const std::vector<std::uint32_t>> hot_order_;
+  ZipfDistribution rank_;  ///< popularity rank of each access
+  /// Permutation so hot lines are scattered. Immutable after construction.
+  std::vector<std::uint32_t> hot_order_;
 };
 
 /// GUPS-style random update: load-modify-store to uniformly random lines
@@ -197,10 +170,6 @@ class ZipfStreamGenerator final : public detail::BufferedGenerator {
 class GupsGenerator final : public detail::BufferedGenerator {
  public:
   GupsGenerator(std::size_t table_lines, std::uint64_t seed, std::uint64_t base_address = 0);
-
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<GupsGenerator>(*this);
-  }
 
  private:
   void refill(std::vector<TraceRecord>& out) override;
@@ -218,10 +187,6 @@ class ReductionGenerator final : public detail::BufferedGenerator {
  public:
   explicit ReductionGenerator(std::size_t elements, std::uint64_t base_address = 0);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<ReductionGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
@@ -237,10 +202,6 @@ class TransposeGenerator final : public detail::BufferedGenerator {
  public:
   TransposeGenerator(std::size_t matrix_dim, std::size_t block_dim,
                      std::uint64_t base_address = 0);
-
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<TransposeGenerator>(*this);
-  }
 
  private:
   void refill(std::vector<TraceRecord>& out) override;
@@ -264,10 +225,6 @@ class FrontierGenerator final : public detail::BufferedGenerator {
   };
   explicit FrontierGenerator(const Params& params);
 
-  std::unique_ptr<TraceGenerator> clone() const override {
-    return std::make_unique<FrontierGenerator>(*this);
-  }
-
  private:
   void refill(std::vector<TraceRecord>& out) override;
   void rewind() override;
@@ -289,10 +246,6 @@ class PhasedGenerator final : public detail::BufferedGenerator {
   };
 
   explicit PhasedGenerator(std::vector<Phase> phases);
-
-  /// Deep clone: children are cloned too (phases share mutable child
-  /// state, so a shallow copy would alias it).
-  std::unique_ptr<TraceGenerator> clone() const override;
 
  private:
   void refill(std::vector<TraceRecord>& out) override;

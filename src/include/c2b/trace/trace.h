@@ -8,7 +8,6 @@
 // (f_mem, locality, working set, phase structure).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,13 +47,6 @@ class TraceGenerator {
   /// Restart the stream from the beginning (same sequence).
   virtual void reset() = 0;
   virtual const std::string& name() const noexcept = 0;
-
-  /// Independent copy of this generator. A clone of a generator that has
-  /// not produced records yet replays the exact stream a freshly
-  /// constructed twin would; cloning from a const prototype is a pure copy,
-  /// so it is safe from concurrent threads as long as nobody pulls records
-  /// from the prototype.
-  virtual std::unique_ptr<TraceGenerator> clone() const = 0;
 
   /// Materialize `count` records into a Trace.
   Trace generate(std::uint64_t count);

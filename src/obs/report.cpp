@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace c2b::obs {
@@ -40,6 +41,19 @@ RunReport build_report(const std::vector<JournalRecord>& records,
   report.read_stats = stats;
 
   std::map<std::string, std::size_t> phase_index;
+  // Replay balance: a cache_peel opens a batched call, whose units are the
+  // class_completed events before the next cache_peel.
+  double pool_threads = 0.0;  // 0 until a pool_start is seen
+  std::optional<RunReport::ReplayCall> call;
+  double call_start_ms = 0.0;
+  double call_end_ms = 0.0;
+  const auto close_call = [&] {
+    if (call && call->units > 0.0) {
+      call->wall_ms = call_end_ms - call_start_ms;
+      report.replay_calls.push_back(*call);
+    }
+    call.reset();
+  };
   for (const JournalRecord& record : records) {
     report.total_wall_ms = std::max(report.total_wall_ms, record.ts_ms);
     if (record.type == "run_begin" || record.type == "sweep_config") {
@@ -71,16 +85,28 @@ RunReport build_report(const std::vector<JournalRecord>& records,
       RunReport::Phase& phase = report.phases[it->second];
       phase.wall_ms += record.num("wall_ms");
       ++phase.count;
+    } else if (record.type == "pool_start") {
+      pool_threads = record.num("threads", pool_threads);
     } else if (record.type == "class_completed") {
-      RunReport::ClassStat entry;
+      RunReport::UnitStat entry;
       entry.cores = record.num("cores");
       entry.members = record.num("members");
       entry.wall_ms = record.num("wall_ms");
       entry.config = record.str("config");
       report.simulated_members += entry.members;
       report.simulated_wall_ms += entry.wall_ms;
-      report.classes.push_back(std::move(entry));
+      if (call) {
+        ++call->units;
+        call->unit_ms += entry.wall_ms;
+        call->longest_ms = std::max(call->longest_ms, entry.wall_ms);
+        call->threads = pool_threads > 0.0 ? pool_threads : report.threads;
+        call_end_ms = record.ts_ms;
+      }
+      report.units.push_back(std::move(entry));
     } else if (record.type == "cache_peel") {
+      close_call();
+      call.emplace();
+      call_start_ms = record.ts_ms;
       report.points += record.num("points");
       report.cache_hits += record.num("hits");
       report.cache_hits_disk += record.num("disk_hits");
@@ -150,12 +176,14 @@ RunReport build_report(const std::vector<JournalRecord>& records,
     }
   }
 
+  close_call();
+
   std::vector<double> walls;
-  walls.reserve(report.classes.size());
-  for (const RunReport::ClassStat& entry : report.classes) walls.push_back(entry.wall_ms);
-  report.class_wall_p50 = exact_quantile(walls, 0.50);
-  report.class_wall_p90 = exact_quantile(walls, 0.90);
-  report.class_wall_p99 = exact_quantile(walls, 0.99);
+  walls.reserve(report.units.size());
+  for (const RunReport::UnitStat& entry : report.units) walls.push_back(entry.wall_ms);
+  report.unit_wall_p50 = exact_quantile(walls, 0.50);
+  report.unit_wall_p90 = exact_quantile(walls, 0.90);
+  report.unit_wall_p99 = exact_quantile(walls, 0.99);
 
   if (report.simulated_members > 0.0 && report.cache_hits + report.shared > 0.0) {
     // A cache hit and a folded point each skip one simulation.
@@ -170,8 +198,8 @@ RunReport build_report(const std::vector<JournalRecord>& records,
           (report.simulated_wall_ms + report.est_saved_ms) / report.simulated_wall_ms;
   }
 
-  std::stable_sort(report.classes.begin(), report.classes.end(),
-                   [](const RunReport::ClassStat& a, const RunReport::ClassStat& b) {
+  std::stable_sort(report.units.begin(), report.units.end(),
+                   [](const RunReport::UnitStat& a, const RunReport::UnitStat& b) {
                      return a.wall_ms > b.wall_ms;
                    });
   return report;
@@ -228,7 +256,7 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                 report.points > 0.0 ? 100.0 * report.shared / report.points : 0.0);
   out += line;
   std::snprintf(line, sizeof line, "  simulated members      %.0f in %zu work units\n",
-                report.simulated_members, report.classes.size());
+                report.simulated_members, report.units.size());
   out += line;
   std::snprintf(line, sizeof line, "  chunks shared          %.0f\n",
                 report.chunks_shared);
@@ -287,21 +315,33 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
     }
   }
 
-  if (!report.classes.empty()) {
-    out += "\n== per-class sim time ==\n";
+  if (!report.units.empty()) {
+    out += "\n== per-unit sim time ==\n";
     std::snprintf(line, sizeof line, "  p50 %s | p90 %s | p99 %s\n",
-                  format_duration(report.class_wall_p50).c_str(),
-                  format_duration(report.class_wall_p90).c_str(),
-                  format_duration(report.class_wall_p99).c_str());
+                  format_duration(report.unit_wall_p50).c_str(),
+                  format_duration(report.unit_wall_p90).c_str(),
+                  format_duration(report.unit_wall_p99).c_str());
     out += line;
-    const std::size_t shown = std::min(top_k, report.classes.size());
-    std::snprintf(line, sizeof line, "  top %zu slowest classes:\n", shown);
+    const std::size_t shown = std::min(top_k, report.units.size());
+    std::snprintf(line, sizeof line, "  top %zu slowest work units:\n", shown);
     out += line;
     for (std::size_t i = 0; i < shown; ++i) {
-      const RunReport::ClassStat& entry = report.classes[i];
+      const RunReport::UnitStat& entry = report.units[i];
       std::snprintf(line, sizeof line, "    %12s  cores=%-3.0f members=%-3.0f %s\n",
                     format_duration(entry.wall_ms).c_str(), entry.cores,
                     entry.members, entry.config.c_str());
+      out += line;
+    }
+    // One line per batched call: how evenly its units filled the pool.
+    out += "  replay balance per batched call:\n";
+    for (std::size_t i = 0; i < report.replay_calls.size(); ++i) {
+      const RunReport::ReplayCall& call = report.replay_calls[i];
+      std::snprintf(line, sizeof line,
+                    "    call %-3zu %4.0f units | wall %s | unit time %s | "
+                    "efficiency %.0f%% of %.0f threads | longest unit %s\n",
+                    i + 1, call.units, format_duration(call.wall_ms).c_str(),
+                    format_duration(call.unit_ms).c_str(), 100.0 * call.efficiency(),
+                    call.threads, format_duration(call.longest_ms).c_str());
       out += line;
     }
   }

@@ -148,8 +148,9 @@ ArgminFn pick_argmin() {
 const ArgminFn g_argmin_wide = pick_argmin();
 
 /// Lockstep round length: records each member may consume past the
-/// previous common target before every member is caught up. One chunk of
-/// the chunk store keeps a shared stream's resident window minimal.
+/// previous common target before every member is caught up. One store
+/// chunk keeps a unit's members within a chunk of each other on their
+/// shared streams, so the records they read stay cache-warm.
 constexpr std::uint64_t kLockstepRecords = TraceChunkStore::kDefaultChunkRecords;
 
 /// The kernel loop, templated over the detector switch and the concrete

@@ -1,7 +1,5 @@
 #include "c2b/trace/chunk_store.h"
 
-#include <algorithm>
-
 #include "c2b/common/assert.h"
 
 namespace c2b {
@@ -14,140 +12,37 @@ std::size_t TraceChunkStore::add_stream(std::unique_ptr<TraceGenerator> generato
                                         std::uint64_t count) {
   C2B_REQUIRE(generator != nullptr, "generator must not be null");
   C2B_REQUIRE(count > 0, "stream must hold at least one record");
-  C2B_REQUIRE(!reads_started_, "cannot add streams once reading has started");
+  generator->reset();
+  const auto n = static_cast<std::size_t>(count);
   Stream s;
-  s.generator = std::move(generator);
-  s.generator->reset();
-  s.total = count;
+  s.records.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.records.push_back(generator->next());
+    if (s.records.back().kind != InstrKind::kCompute) ++stats_.accesses_generated;
+  }
+  // Backward sweep fills the run-length table in one pass: a kCompute entry
+  // extends the run that starts right after it, unless a chunk starts
+  // there; anything else resets to 0.
+  s.compute_run.assign(n, 0);
+  for (std::size_t i = n; i-- > 0;) {
+    if (s.records[i].kind != InstrKind::kCompute) continue;
+    const bool run_continues = i + 1 < n && (i + 1) % chunk_ != 0;
+    s.compute_run[i] = 1 + (run_continues ? s.compute_run[i + 1] : 0);
+  }
+  stats_.chunks_generated += (n + chunk_ - 1) / chunk_;
+  stats_.records_generated += n;
   streams_.push_back(std::move(s));
   return streams_.size() - 1;
 }
 
-void TraceChunkStore::set_readers(std::uint32_t readers) {
-  C2B_REQUIRE(readers > 0, "need at least one reader");
-  C2B_REQUIRE(!reads_started_, "cannot change readers once reading has started");
-  readers_ = readers;
-}
-
 std::uint64_t TraceChunkStore::stream_length(std::size_t stream) const {
   C2B_REQUIRE(stream < streams_.size(), "stream id out of range");
-  return streams_[stream].total;
+  return streams_[stream].records.size();
 }
 
-void TraceChunkStore::generate_next_chunk(Stream& s) {
-  C2B_ASSERT(s.produced < s.total, "stream already fully generated");
-  Chunk c;
-  c.base = s.produced;
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(chunk_, s.total - s.produced));
-  c.records.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    c.records.push_back(s.generator->next());
-    if (c.records.back().kind != InstrKind::kCompute) ++c.memory_records;
-  }
-  // Backward sweep fills the run-length table in one pass: a kCompute entry
-  // extends the run that starts right after it; anything else resets to 0.
-  c.compute_run.assign(n, 0);
-  for (std::size_t i = n; i-- > 0;) {
-    if (c.records[i].kind == InstrKind::kCompute)
-      c.compute_run[i] = 1 + (i + 1 < n ? c.compute_run[i + 1] : 0);
-  }
-  s.produced += n;
-  s.window.push_back(std::move(c));
-  resident_records_ += n;
-  stats_.chunks_generated += 1;
-  stats_.records_generated += n;
-  stats_.max_resident_records = std::max(stats_.max_resident_records, resident_records_);
-}
-
-const TraceChunkStore::Chunk& TraceChunkStore::chunk_at(std::size_t stream, std::uint64_t offset) {
-  reads_started_ = true;
-  Stream& s = streams_[stream];
-  C2B_ASSERT(offset < s.total, "offset past end of stream");
-  C2B_REQUIRE(offset >= s.released, "chunk already released (reader fell behind a freed chunk)");
-  while (s.produced <= offset) generate_next_chunk(s);
-  // All chunks are exactly chunk_ records except the last, and bases are
-  // multiples of chunk_, so the resident index is plain arithmetic.
-  const std::uint64_t front_base = s.window.front().base;
-  const std::size_t idx = static_cast<std::size_t>((offset - front_base) / chunk_);
-  C2B_ASSERT(idx < s.window.size(), "resident chunk index out of range");
-  return s.window[idx];
-}
-
-void TraceChunkStore::pass_chunk(std::size_t stream, std::uint64_t chunk_base) {
-  Stream& s = streams_[stream];
-  C2B_ASSERT(!s.window.empty() && chunk_base >= s.window.front().base,
-             "passed chunk already released");
-  const std::size_t idx = static_cast<std::size_t>((chunk_base - s.window.front().base) / chunk_);
-  C2B_ASSERT(idx < s.window.size(), "passed chunk not resident");
-  Chunk& c = s.window[idx];
-  ++c.readers_passed;
-  C2B_ASSERT(c.readers_passed <= readers_, "more passes than registered readers");
-  // Readers consume chunks in stream order, so chunks complete front-first.
-  while (!s.window.empty() && s.window.front().readers_passed == readers_) {
-    const Chunk& done = s.window.front();
-    const std::uint64_t extra_readers = readers_ - 1;
-    stats_.chunks_shared += extra_readers;
-    stats_.regen_avoided_records += done.records.size() * extra_readers;
-    stats_.regen_avoided_accesses += done.memory_records * extra_readers;
-    s.released += done.records.size();
-    resident_records_ -= done.records.size();
-    s.window.pop_front();
-  }
-}
-
-ChunkCursor::ChunkCursor(TraceChunkStore& store, std::size_t stream)
-    : store_(&store), stream_(stream), total_(store.stream_length(stream)) {}
-
-void ChunkCursor::ensure_chunk() {
-  if (chunk_ != nullptr && offset_ < chunk_end_) return;
-  if (chunk_ != nullptr) finish_chunk();
-  if (offset_ >= total_) return;
-  chunk_ = &store_->chunk_at(stream_, offset_);
-  chunk_end_ = chunk_->base + chunk_->records.size();
-}
-
-void ChunkCursor::finish_chunk() {
-  store_->pass_chunk(stream_, chunk_->base);
-  chunk_ = nullptr;
-}
-
-const TraceRecord* ChunkCursor::peek() {
-  ensure_chunk();
-  if (chunk_ == nullptr) return nullptr;
-  return &chunk_->records[static_cast<std::size_t>(offset_ - chunk_->base)];
-}
-
-void ChunkCursor::advance() {
-  ++offset_;
-  // Release promptly at the chunk boundary so the store can free it as
-  // soon as the last lockstep member crosses, not at the next peek().
-  if (chunk_ != nullptr && offset_ >= chunk_end_) finish_chunk();
-}
-
-std::size_t ChunkCursor::compute_run(std::size_t limit) {
-  ensure_chunk();
-  if (chunk_ == nullptr) return 0;
-  const std::size_t run = chunk_->compute_run[static_cast<std::size_t>(offset_ - chunk_->base)];
-  return std::min(limit, run);
-}
-
-void ChunkCursor::skip(std::size_t count) {
-  while (count > 0) {
-    ensure_chunk();
-    C2B_ASSERT(chunk_ != nullptr, "skip past end of stream");
-    const std::uint64_t in_chunk = chunk_end_ - offset_;
-    const std::uint64_t step = std::min<std::uint64_t>(count, in_chunk);
-    offset_ += step;
-    count -= static_cast<std::size_t>(step);
-    if (offset_ >= chunk_end_) finish_chunk();
-  }
-}
-
-void ChunkCursor::reset() {
-  // Safe only before any consumption: earlier chunks may already be freed,
-  // and re-reading would double-count passage. The kernel never resets.
-  C2B_REQUIRE(offset_ == 0, "ChunkCursor::reset() after consumption is unsupported");
-}
+ChunkCursor::ChunkCursor(const TraceChunkStore& store, std::size_t stream)
+    : records_(store.streams_.at(stream).records.data()),
+      runs_(store.streams_[stream].compute_run.data()),
+      total_(store.streams_[stream].records.size()) {}
 
 }  // namespace c2b

@@ -203,13 +203,13 @@ PointerChaseGenerator::PointerChaseGenerator(std::size_t lines, unsigned compute
     const std::size_t j = rng.uniform_below(i);
     std::swap(permutation[i], permutation[j]);
   }
-  permutation_ = std::make_shared<const std::vector<std::uint32_t>>(std::move(permutation));
+  permutation_ = std::move(permutation);
 }
 
 void PointerChaseGenerator::refill(std::vector<TraceRecord>& out) {
   out.push_back(dependent_load(base_ + static_cast<std::uint64_t>(current_) * kLine));
   for (unsigned c = 0; c < computes_per_access_; ++c) out.push_back(compute());
-  current_ = (*permutation_)[current_];
+  current_ = permutation_[current_];
 }
 
 void PointerChaseGenerator::rewind() { current_ = 0; }
@@ -218,7 +218,10 @@ void PointerChaseGenerator::rewind() { current_ = 0; }
 // ZipfStreamGenerator
 
 ZipfStreamGenerator::ZipfStreamGenerator(const Params& params)
-    : BufferedGenerator("zipf_stream"), params_(params), rng_(params.seed) {
+    : BufferedGenerator("zipf_stream"),
+      params_(params),
+      rng_(params.seed),
+      rank_(params.working_set_lines, params.zipf_exponent) {
   C2B_REQUIRE(params.working_set_lines >= 1, "working set must be non-empty");
   C2B_REQUIRE(params.zipf_exponent >= 0.0, "zipf exponent must be >= 0");
   C2B_REQUIRE(params.f_mem > 0.0 && params.f_mem <= 1.0, "f_mem in (0,1]");
@@ -232,7 +235,7 @@ ZipfStreamGenerator::ZipfStreamGenerator(const Params& params)
     const std::size_t j = shuffle_rng.uniform_below(i + 1);
     std::swap(hot_order[i], hot_order[j]);
   }
-  hot_order_ = std::make_shared<const std::vector<std::uint32_t>>(std::move(hot_order));
+  hot_order_ = std::move(hot_order);
 }
 
 void ZipfStreamGenerator::refill(std::vector<TraceRecord>& out) {
@@ -240,8 +243,7 @@ void ZipfStreamGenerator::refill(std::vector<TraceRecord>& out) {
     out.push_back(compute());
     return;
   }
-  const std::size_t rank = rng_.zipf(params_.working_set_lines, params_.zipf_exponent);
-  const std::uint64_t line = (*hot_order_)[rank];
+  const std::uint64_t line = hot_order_[rank_(rng_)];
   const std::uint64_t address = params_.base_address + line * kLine;
   if (rng_.bernoulli(params_.write_ratio)) {
     out.push_back(store(address));
@@ -380,12 +382,6 @@ void PhasedGenerator::rewind() {
   phase_index_ = 0;
   emitted_in_phase_ = 0;
   for (Phase& p : phases_) p.generator->reset();
-}
-
-std::unique_ptr<TraceGenerator> PhasedGenerator::clone() const {
-  auto copy = std::make_unique<PhasedGenerator>(*this);
-  for (Phase& p : copy->phases_) p.generator = p.generator->clone();
-  return copy;
 }
 
 }  // namespace c2b

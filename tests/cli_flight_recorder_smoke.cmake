@@ -35,7 +35,8 @@ foreach(needle
     "== run =="
     "== phase time breakdown =="
     "== cache/batch effectiveness =="
-    "== per-class sim time =="
+    "== per-unit sim time =="
+    "replay balance per batched call:"
     "== explored space ==")
   string(FIND "${report_out}" "${needle}" found)
   if(found EQUAL -1)

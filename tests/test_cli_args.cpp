@@ -183,8 +183,42 @@ TEST(CliArgsTest, RejectsNonFlagTokens) {
 }
 
 TEST(CliArgsTest, MissingValueThrows) {
+  // A queried valued flag with no value reads as absent, and finish()
+  // names it as needing a value.
   Argv argv({"c2b", "dse", "--workload"});
-  EXPECT_THROW(Args(argv.argc(), argv.argv(), 2), std::invalid_argument);
+  Args args(argv.argc(), argv.argv(), 2);
+  EXPECT_EQ(args.get("workload", std::string("?")), "?");
+  try {
+    args.finish();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()), "flag --workload needs a value");
+  }
+  // has() is a query too: a valueless `--threads` is missing its value,
+  // not unknown.
+  Argv bare_threads({"c2b", "dse", "--threads"});
+  Args threads(bare_threads.argc(), bare_threads.argv(), 2);
+  EXPECT_FALSE(threads.has("threads"));
+  EXPECT_THROW(threads.finish(), std::invalid_argument);
+}
+
+TEST(CliArgsTest, TrailingUnknownFlagIsUnknownNotMissingAValue) {
+  // `c2b dse --no-surrogate` and `c2b aps --large-axes --bogus`: a flag the
+  // command never queries is unknown, wherever it sits on the line.
+  for (const std::vector<std::string>& tokens :
+       {std::vector<std::string>{"c2b", "dse", "--workload", "stencil", "--no-surrogate"},
+        std::vector<std::string>{"c2b", "aps", "--large-axes", "--bogus"}}) {
+    Argv argv(tokens);
+    Args args(argv.argc(), argv.argv(), 2, {"large-axes"});
+    args.get("workload", std::string("?"));
+    args.has("large-axes");
+    try {
+      args.finish();
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()), "unknown flag(s): " + tokens.back());
+    }
+  }
 }
 
 }  // namespace

@@ -127,6 +127,48 @@ TEST(Rng, ZipfSingleElement) {
   EXPECT_EQ(rng.zipf(1, 1.0), 0u);
 }
 
+/// Rng::zipf as it was before ZipfDistribution hoisted its per-(n, s)
+/// constants: every draw recomputes (n+1)^(1-s), 1/(1-s) and log(n+1).
+std::size_t zipf_recomputing_constants(Rng& rng, std::size_t n, double s) {
+  if (n <= 1) return 0;
+  const double nd = static_cast<double>(n);
+  if (s == 1.0) {
+    const double u = rng.uniform();
+    const double k = std::exp(u * std::log(nd + 1.0));
+    const auto idx = static_cast<std::size_t>(k) - 1;
+    return idx >= n ? n - 1 : idx;
+  }
+  const double one_minus_s = 1.0 - s;
+  for (;;) {
+    const double u = rng.uniform();
+    const double top = std::pow(nd + 1.0, one_minus_s);
+    const double x = std::pow(u * (top - 1.0) + 1.0, 1.0 / one_minus_s);
+    const auto k = static_cast<std::size_t>(x);
+    if (k >= 1 && k <= n) {
+      const double ratio = std::pow(static_cast<double>(k) / x, s);
+      if (rng.uniform() <= ratio) return k - 1;
+    }
+  }
+}
+
+TEST(Rng, ZipfDistributionMatchesPerDrawFormula) {
+  // Same draws and the same generator state afterwards, over the exponents
+  // the workloads use and the edge cases (s = 0, s = 1, n = 1, 2).
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{100},
+                              std::size_t{4'096}, std::size_t{1} << 20})
+    for (const double s : {0.0, 0.3, 0.7, 0.8, 0.9, 1.0, 1.2, 2.0, 3.5})
+      for (const std::uint64_t seed : {1ull, 42ull, 20'261'017ull}) {
+        Rng hoisted(seed), reference(seed), one_off(seed);
+        const ZipfDistribution zipf(n, s);
+        for (int i = 0; i < 500; ++i) {
+          const std::size_t want = zipf_recomputing_constants(reference, n, s);
+          ASSERT_EQ(zipf(hoisted), want) << "n " << n << " s " << s << " seed " << seed;
+          ASSERT_EQ(one_off.zipf(n, s), want) << "n " << n << " s " << s << " seed " << seed;
+        }
+        EXPECT_EQ(hoisted.next(), reference.next());
+      }
+}
+
 TEST(Rng, CategoricalFollowsWeights) {
   Rng rng(6);
   std::vector<double> weights{1.0, 3.0, 0.0, 6.0};

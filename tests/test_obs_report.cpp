@@ -121,13 +121,23 @@ TEST(BuildReportTest, AggregatesSyntheticRun) {
   EXPECT_DOUBLE_EQ(report.chunks_shared, 5.0);
   EXPECT_DOUBLE_EQ(report.regen_avoided_accesses, 1000.0);
 
-  // Classes are sorted slowest-first; totals cover all three.
-  ASSERT_EQ(report.classes.size(), 3u);
-  EXPECT_DOUBLE_EQ(report.classes[0].wall_ms, 6.0);
-  EXPECT_DOUBLE_EQ(report.classes[2].wall_ms, 2.0);
+  // Units are sorted slowest-first; totals cover all three.
+  ASSERT_EQ(report.units.size(), 3u);
+  EXPECT_DOUBLE_EQ(report.units[0].wall_ms, 6.0);
+  EXPECT_DOUBLE_EQ(report.units[2].wall_ms, 2.0);
   EXPECT_DOUBLE_EQ(report.simulated_members, 6.0);
   EXPECT_DOUBLE_EQ(report.simulated_wall_ms, 12.0);
-  EXPECT_DOUBLE_EQ(report.class_wall_p50, 4.0);
+  EXPECT_DOUBLE_EQ(report.unit_wall_p50, 4.0);
+
+  // One batched call: cache_peel at 1 ms, its last unit done at 8 ms, on
+  // run_begin's 4 threads (no pool_start in this journal).
+  ASSERT_EQ(report.replay_calls.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].units, 3.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].wall_ms, 7.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].unit_ms, 12.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].longest_ms, 6.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].threads, 4.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].efficiency(), 12.0 / 28.0);
 
   // Savings: (4 hits + 1 shared) x (12 ms / 6 members) = 10 ms ->
   // (12+10)/12 speedup; the memory tier carries the hits' 8 ms.
@@ -167,11 +177,52 @@ TEST(RenderReportTest, ContainsAllSections) {
   EXPECT_NE(text.find("shared in-call         1 (9.1%)"), std::string::npos);
   EXPECT_NE(text.find("simulated members      6 in 3 work units"), std::string::npos);
   EXPECT_NE(text.find("est. savings           10.00 ms"), std::string::npos);
-  EXPECT_NE(text.find("== per-class sim time =="), std::string::npos);
-  EXPECT_NE(text.find("top 2 slowest classes:"), std::string::npos);
-  EXPECT_NE(text.find("n=3 a0=1"), std::string::npos);  // slowest class config
+  EXPECT_NE(text.find("== per-unit sim time =="), std::string::npos);
+  EXPECT_NE(text.find("top 2 slowest work units:"), std::string::npos);
+  EXPECT_NE(text.find("n=3 a0=1"), std::string::npos);  // slowest unit's config
+  EXPECT_NE(text.find("call 1      3 units | wall 7.00 ms | unit time 12.00 ms | "
+                      "efficiency 43% of 4 threads | longest unit 6.00 ms"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("== explored space =="), std::string::npos);
   EXPECT_NE(text.find("best    objective=3"), std::string::npos);
+}
+
+TEST(BuildReportTest, ReplayBalanceIsPerBatchedCall) {
+  // Two calls on a 2-thread pool; the all-hit call between them replays
+  // nothing and gets no line.
+  std::vector<JournalRecord> records;
+  auto pool = make("pool_start", 0.5);
+  pool.numbers["threads"] = 2.0;
+  records.push_back(pool);
+  const auto unit = [](double ts_ms, double wall_ms) {
+    auto record = make("class_completed", ts_ms);
+    record.numbers["cores"] = 4.0;
+    record.numbers["members"] = 8.0;
+    record.numbers["wall_ms"] = wall_ms;
+    return record;
+  };
+  records.push_back(make("cache_peel", 10.0));
+  records.push_back(unit(30.0, 20.0));
+  records.push_back(unit(40.0, 25.0));
+  records.push_back(make("cache_peel", 50.0));  // all hits
+  records.push_back(make("cache_peel", 100.0));
+  records.push_back(unit(190.0, 90.0));
+
+  const RunReport report = build_report(records);
+  ASSERT_EQ(report.replay_calls.size(), 2u);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].wall_ms, 30.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].unit_ms, 45.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].longest_ms, 25.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[0].efficiency(), 0.75);
+  EXPECT_DOUBLE_EQ(report.replay_calls[1].units, 1.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[1].wall_ms, 90.0);
+  EXPECT_DOUBLE_EQ(report.replay_calls[1].efficiency(), 0.5);  // one unit, two threads
+  const std::string text = render_report(report);
+  EXPECT_NE(text.find("call 2      1 units | wall 90.00 ms | unit time 90.00 ms | "
+                      "efficiency 50% of 2 threads | longest unit 90.00 ms"),
+            std::string::npos)
+      << text;
 }
 
 TEST(HeatmapTest, MinObjectivePerCell) {

@@ -74,7 +74,6 @@ TEST(SimulateBatched, MembersMatchPerPointRunsBitwise) {
   TraceChunkStore store;
   const std::size_t id = store.add_stream(
       std::make_unique<ZipfStreamGenerator>(zipf_params(kSeed)), kRecords);
-  store.set_readers(3);
   std::vector<ChunkCursor> cursors;
   cursors.reserve(3);
   std::vector<std::vector<TraceCursor*>> member_cursors(3);
@@ -92,7 +91,6 @@ TEST(SimulateBatched, MembersMatchPerPointRunsBitwise) {
   }
   // One generation pass served all three members.
   EXPECT_EQ(store.stats().records_generated, kRecords);
-  EXPECT_EQ(store.stats().regen_avoided_records, 2u * kRecords);
 }
 
 TEST(SimulateBatched, SingleMemberDegeneratesToStreaming) {
@@ -103,7 +101,6 @@ TEST(SimulateBatched, SingleMemberDegeneratesToStreaming) {
   for (std::uint32_t c = 0; c < 2; ++c)
     ids.push_back(store.add_stream(
         std::make_unique<ZipfStreamGenerator>(zipf_params(80 + c)), 8'000));
-  store.set_readers(1);
   ChunkCursor c0(store, ids[0]), c1(store, ids[1]);
   const std::vector<sim::SystemResult> batched =
       sim::simulate_system_batched({config}, {{&c0, &c1}}, sim::ReplayMode::kWithCamat);
@@ -134,7 +131,6 @@ TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
   TraceChunkStore store(/*chunk_records=*/512);
   const std::size_t id = store.add_stream(
       std::make_unique<ZipfStreamGenerator>(zipf_params(kSeed)), kRecords);
-  store.set_readers(2);
   ChunkCursor a(store, id), b(store, id);
   sim::BatchKernelStats kernel;
   const std::vector<sim::SystemResult> batched = sim::simulate_system_batched(
@@ -149,7 +145,6 @@ TEST(SimulateBatched, RejectsMalformedInputs) {
   TraceChunkStore store;
   const std::size_t id =
       store.add_stream(std::make_unique<ZipfStreamGenerator>(zipf_params(99)), 100);
-  store.set_readers(1);
   ChunkCursor cursor(store, id);
   EXPECT_THROW(sim::simulate_system_batched({}, {}, sim::ReplayMode::kWithCamat),
                std::invalid_argument);

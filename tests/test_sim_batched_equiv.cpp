@@ -2,13 +2,15 @@
 // quick suite). The batched replay engine — shared chunk store, lockstep
 // replay kernel, DSE-level equivalence-class scheduling — must be
 // bitwise indistinguishable from the per-cycle reference at every thread
-// count, with the chunk store's resident window staying O(chunk) even on
-// wide batches over long streams.
+// count, with each class's trace generated once per call however many
+// lane-bounded units read it.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "c2b/aps/dse.h"
@@ -17,6 +19,7 @@
 #include "c2b/common/rng.h"
 #include "c2b/exec/pool.h"
 #include "c2b/exec/sim_cache.h"
+#include "c2b/obs/journal.h"
 #include "c2b/obs/obs.h"
 #include "c2b/sim/system/batched.h"
 #include "c2b/trace/chunk_store.h"
@@ -50,7 +53,7 @@ TEST(BatchEquivalence, OracleStressOnRandomDesignSets) {
   }
 }
 
-// A wide batch (more members than kMaxBatchMembers, forcing the unit split)
+// A wide batch (more members than one unit holds, forcing the unit split)
 // over one random scenario: batched results must match
 // simulate_design_time_reference bitwise at thread counts 1 and 8, and
 // repeating the sweep must reproduce it bitwise.
@@ -88,6 +91,128 @@ TEST(BatchEquivalence, WideBatchMatchesReferenceAtEveryThreadCount) {
             << "threads " << threads << " repeat " << repeat << " point " << i;
         ASSERT_EQ(outcomes[i].memory_accesses, reference[i].memory_accesses);
       }
+    }
+  }
+}
+
+// A DSE context whose serial and parallel windows both sit at the 2,000-
+// record cap for every N below, so a class of N cores reads (1 + N)
+// streams of exactly 2,000 records.
+DseContext capped_context() {
+  DseContext context;
+  context.workload = make_fluidanimate_like_workload();
+  context.instructions0 = 1'000'000;
+  context.per_core_cap = 2'000;
+  return context;
+}
+constexpr std::uint64_t kCappedWindow = 2'000;
+
+/// 24 design points with distinct simulation keys, all with `cores` cores
+/// (one trace-equivalence class).
+std::vector<std::vector<double>> class_points(double cores) {
+  std::vector<std::vector<double>> points;
+  for (const double issue : {1.0, 2.0, 4.0, 8.0})
+    for (const double rob : {16.0, 32.0, 64.0, 128.0, 192.0, 256.0})
+      points.push_back({1.0, 0.5, 1.0, cores, issue, rob});
+  return points;
+}
+
+/// (cores, members) of each class_scheduled event, in unit order.
+std::vector<std::pair<double, double>> scheduled_units(const DseContext& context,
+                                                       const std::vector<std::vector<double>>& points,
+                                                       const std::string& name) {
+  const std::string path = ::testing::TempDir() + "c2b_units_" + name + ".jsonl";
+  {
+    auto journal = obs::RunJournal::open(path);
+    EXPECT_NE(journal, nullptr);
+    obs::set_active_journal(journal.get());
+    simulate_design_times_batched(context, points);
+    obs::set_active_journal(nullptr);
+  }
+  std::vector<std::pair<double, double>> units;
+  for (const obs::JournalRecord& record : obs::read_journal(path))
+    if (record.type == "class_scheduled")
+      units.emplace_back(record.num("cores"), record.num("members"));
+  return units;
+}
+
+// A unit holds the largest power of two of members, at most 16, with
+// members x cores <= 32; units go out widest-first by members x cores
+// (ties in class order), and the layout is the same at every thread count.
+TEST(BatchEquivalence, UnitsRespectTheLaneBoundWidestFirst) {
+  ExecDefaults restore;
+  exec::SimCache::global().set_enabled(false);
+  const DseContext context = capped_context();
+  std::vector<std::vector<double>> points;
+  for (const double cores : {12.0, 1.0, 4.0, 40.0}) {
+    std::vector<std::vector<double>> more = class_points(cores);
+    if (cores == 40.0) more.resize(3);  // wider than the lane bound alone
+    points.insert(points.end(), more.begin(), more.end());
+  }
+  // Classes in core order: N=1 24 -> 16+8, N=4 24 -> 8+8+8, N=12 24 ->
+  // twelve 2s, N=40 3 -> three 1s (a lone member always fits).
+  std::vector<std::pair<double, double>> expected{{40, 1}, {40, 1}, {40, 1},
+                                                  {4, 8},  {4, 8},  {4, 8}};
+  for (int i = 0; i < 12; ++i) expected.emplace_back(12, 2);
+  expected.emplace_back(1, 16);
+  expected.emplace_back(1, 8);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    exec::set_thread_count(threads);
+    const auto units = scheduled_units(context, points, "t" + std::to_string(threads));
+    EXPECT_EQ(units, expected) << "threads " << threads;
+    double previous_lanes = 1e300;
+    for (const auto& [cores, members] : units) {
+      const auto width = static_cast<std::size_t>(members);
+      EXPECT_EQ(width & (width - 1), 0u) << "not a power of two: " << members;
+      EXPECT_LE(members, 16.0);
+      EXPECT_TRUE(members * cores <= 32.0 || members == 1.0) << cores << " x " << members;
+      EXPECT_LE(members * cores, previous_lanes) << "not widest-first";
+      previous_lanes = members * cores;
+    }
+  }
+}
+
+// However many units a class splits into, a call generates its trace once:
+// (1 + N) streams of one window each. Every member after the first reads
+// the whole trace instead of regenerating it, which is what chunks_shared
+// and regen_avoided_accesses count. A class wider than one unit (N=4, 24
+// members -> three units) matches the reference bitwise at threads 1, 2, 8.
+TEST(BatchEquivalence, WideClassGeneratesItsTraceOnce) {
+  ExecDefaults restore;
+  exec::SimCache::global().set_enabled(false);
+  const DseContext context = capped_context();
+  const std::vector<std::vector<double>> points = class_points(4.0);
+  const std::uint64_t streams = 1 + 4;
+
+  std::vector<BatchSimOutcome> reference;
+  for (const std::vector<double>& point : points)
+    reference.push_back(simulate_design_time_reference(context, point));
+
+  BatchReplayStats lone;
+  simulate_design_times_batched(context, {points.front()}, &lone);
+  EXPECT_EQ(lone.records_generated, streams * kCappedWindow);
+  EXPECT_EQ(lone.chunks_shared, 0u);
+  EXPECT_EQ(lone.regen_avoided_accesses, 0u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    exec::set_thread_count(threads);
+    BatchReplayStats stats;
+    const std::vector<BatchSimOutcome> outcomes =
+        simulate_design_times_batched(context, points, &stats);
+    EXPECT_EQ(stats.classes, 1u);
+    EXPECT_EQ(stats.simulated, points.size());
+    EXPECT_EQ(stats.records_generated, streams * kCappedWindow) << "threads " << threads;
+    // One chunk per 2,000-record stream; every member reads every access
+    // of the trace, so any member's access count is the trace's.
+    EXPECT_EQ(stats.chunks_shared, (points.size() - 1) * streams);
+    EXPECT_EQ(stats.regen_avoided_accesses,
+              (points.size() - 1) * reference.front().memory_accesses);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(outcomes[i].time),
+                std::bit_cast<std::uint64_t>(reference[i].time))
+          << "threads " << threads << " point " << i;
+      ASSERT_EQ(outcomes[i].memory_accesses, reference[i].memory_accesses);
     }
   }
 }
@@ -194,10 +319,9 @@ TEST(BatchEquivalence, EqualKeysSimulateOnce) {
   }
 }
 
-// Long-stream lockstep batch: 16 members sharing one 200k-record stream.
-// Residency must stay within a handful of chunks (not O(stream)), and every
-// member must match its solo replay bitwise.
-TEST(BatchEquivalence, LongStreamResidencyStaysBounded) {
+// Long-stream lockstep batch: 16 members sharing one 200k-record stream,
+// generated once; every member must match its solo replay bitwise.
+TEST(BatchEquivalence, LongStreamSixteenMembersMatchSolo) {
   ZipfStreamGenerator::Params p;
   p.working_set_lines = 1 << 12;
   p.zipf_exponent = 0.8;
@@ -217,7 +341,6 @@ TEST(BatchEquivalence, LongStreamResidencyStaysBounded) {
 
   TraceChunkStore store;
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), kRecords);
-  store.set_readers(static_cast<std::uint32_t>(kMembers));
   std::vector<ChunkCursor> cursors;
   cursors.reserve(kMembers);
   std::vector<std::vector<TraceCursor*>> member_cursors(kMembers);
@@ -228,11 +351,7 @@ TEST(BatchEquivalence, LongStreamResidencyStaysBounded) {
   const std::vector<sim::SystemResult> batched =
       sim::simulate_system_batched(configs, member_cursors, sim::ReplayMode::kWithCamat);
 
-  // One lockstep quantum of spread across members -> at most a few chunks
-  // resident; the stream itself is ~49 chunks.
-  EXPECT_LE(store.stats().max_resident_records, 4u * store.chunk_capacity());
   EXPECT_EQ(store.stats().records_generated, kRecords);
-  EXPECT_EQ(store.stats().regen_avoided_records, (kMembers - 1) * kRecords);
 
   for (std::size_t m = 0; m < kMembers; ++m) {
     GeneratorTraceCursor solo(std::make_unique<ZipfStreamGenerator>(p), kRecords);

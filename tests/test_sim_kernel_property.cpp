@@ -152,7 +152,6 @@ std::vector<sim::SystemResult> replay(const KernelScenario& s, sim::ReplayMode m
   stream_ids.reserve(s.cores);
   for (std::uint32_t c = 0; c < s.cores; ++c)
     stream_ids.push_back(store.add_stream(make_stream(s, c), s.window));
-  store.set_readers(static_cast<std::uint32_t>(s.width));
 
   std::vector<ChunkCursor> cursors;
   cursors.reserve(s.width * s.cores);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "c2b/trace/generators.h"
@@ -36,7 +37,6 @@ TEST(ChunkStore, SingleReaderStreamMatchesMaterializedGenerate) {
   const Trace materialized = ZipfStreamGenerator(p).generate(5'000);
   TraceChunkStore store(/*chunk_records=*/256);
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 5'000);
-  store.set_readers(1);
   ChunkCursor cursor(store, id);
   EXPECT_EQ(cursor.stream_length(), 5'000u);
   for (std::size_t i = 0; i < materialized.records.size(); ++i) {
@@ -49,54 +49,81 @@ TEST(ChunkStore, SingleReaderStreamMatchesMaterializedGenerate) {
   // 5000 records / 256-record chunks -> 20 chunks, each generated once.
   EXPECT_EQ(store.stats().chunks_generated, 20u);
   EXPECT_EQ(store.stats().records_generated, 5'000u);
-  EXPECT_EQ(store.stats().chunks_shared, 0u);
-  EXPECT_EQ(store.stats().regen_avoided_records, 0u);
+  EXPECT_EQ(store.stats().accesses_generated, materialized.memory_access_count());
 }
 
-TEST(ChunkStore, InterleavedReadersShareChunksAndBoundResidency) {
+TEST(ChunkStore, StreamIsGeneratedWhenAddedAndNeverAgain) {
   const auto p = zipf_params(42);
   const Trace materialized = ZipfStreamGenerator(p).generate(4'000);
   TraceChunkStore store(/*chunk_records=*/128);
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 4'000);
-  store.set_readers(3);
+  // The whole stream exists before anyone reads it.
+  const ChunkStoreStats before = store.stats();
+  EXPECT_EQ(before.chunks_generated, (4'000u + 127u) / 128u);
+  EXPECT_EQ(before.records_generated, 4'000u);
+  EXPECT_EQ(before.accesses_generated, materialized.memory_access_count());
+
+  // Three readers in any interleaving see the same records — the very same
+  // memory, not copies — and reading generates nothing.
   ChunkCursor a(store, id), b(store, id), c(store, id);
-  // Lockstep rounds like the batched driver's: every reader reaches a common
-  // target each round (a leads within the round, c trails), so the spread —
-  // and with it the store's residency — stays within ~one chunk.
-  std::size_t pa = 0, pb = 0, pc = 0;
-  auto step = [&](ChunkCursor& cur, std::size_t& pos, std::size_t target) {
-    for (; pos < target; ++pos) {
-      const TraceRecord* rec = cur.peek();
+  std::size_t pa = 0;  // a reads at a third of the others' pace
+  for (std::size_t pos = 0; pos < 4'000; ++pos) {
+    if (pos % 3 == 0) {
+      const TraceRecord* rec = a.peek();
       ASSERT_NE(rec, nullptr);
-      ASSERT_TRUE(records_equal(*rec, materialized.records[pos]))
-          << "reader diverged at record " << pos;
-      cur.advance();
+      ASSERT_TRUE(records_equal(*rec, materialized.records[pa])) << "at record " << pa;
+      a.advance();
+      ++pa;
     }
-  };
-  std::size_t target = 0;
-  while (target < 4'000) {
-    target = std::min<std::size_t>(target + 96, 4'000);
-    step(a, pa, target);
-    step(b, pb, target);
-    step(c, pc, target);
-    // A 96-record round crosses at most one 128-record chunk boundary, so
-    // no more than 2 chunks are resident at any point.
-    ASSERT_LE(store.stats().max_resident_records, 2u * 128u);
+    ASSERT_NE(b.peek(), nullptr);
+    ASSERT_TRUE(records_equal(*b.peek(), materialized.records[pos])) << "at record " << pos;
+    EXPECT_EQ(c.peek(), b.peek());
+    b.advance();
+    c.advance();
   }
-  EXPECT_EQ(a.peek(), nullptr);
   EXPECT_EQ(b.peek(), nullptr);
   EXPECT_EQ(c.peek(), nullptr);
-  // Every chunk generated once and passed by two extra readers.
-  const ChunkStoreStats& stats = store.stats();
-  EXPECT_EQ(stats.chunks_generated, (4'000u + 127u) / 128u);
-  EXPECT_EQ(stats.records_generated, 4'000u);
-  EXPECT_EQ(stats.chunks_shared, 2u * stats.chunks_generated);
-  EXPECT_EQ(stats.regen_avoided_records, 2u * 4'000u);
-  // The access subset matches the trace's own memory-record count.
-  std::uint64_t memory_records = 0;
-  for (const TraceRecord& rec : materialized.records)
-    if (rec.kind != InstrKind::kCompute) ++memory_records;
-  EXPECT_EQ(stats.regen_avoided_accesses, 2u * memory_records);
+  EXPECT_NE(a.peek(), nullptr);  // a trails; the records it has yet to read are still there
+  EXPECT_EQ(store.stats().chunks_generated, before.chunks_generated);
+  EXPECT_EQ(store.stats().records_generated, before.records_generated);
+  EXPECT_EQ(store.stats().accesses_generated, before.accesses_generated);
+}
+
+TEST(ChunkStore, ManyThreadsReadOneStoreConcurrently) {
+  // The batched sweep's sharing shape: one class trace (several streams),
+  // many units on pool workers, each with its own cursors over every
+  // stream. Every reader must see exactly the materialized records.
+  constexpr std::size_t kStreams = 3;
+  constexpr std::size_t kRecords = 6'000;
+  constexpr std::size_t kThreads = 8;
+  TraceChunkStore store(/*chunk_records=*/512);
+  std::vector<Trace> materialized;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    const auto p = zipf_params(60 + s, /*f_mem=*/0.3);
+    store.add_stream(std::make_unique<ZipfStreamGenerator>(p), kRecords);
+    materialized.push_back(ZipfStreamGenerator(p).generate(kRecords));
+  }
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        ChunkCursor cursor(store, (s + t) % kStreams);
+        const std::vector<TraceRecord>& truth = materialized[(s + t) % kStreams].records;
+        for (std::size_t pos = 0; pos < kRecords; ++pos) {
+          // Mix the cursor's calls the way the kernel does.
+          if (pos % 7 == 0 && cursor.compute_run(16) > true_compute_run(truth, pos)) ++mismatches[t];
+          const TraceRecord* rec = cursor.peek();
+          if (rec == nullptr || !records_equal(*rec, truth[pos])) ++mismatches[t];
+          cursor.advance();
+        }
+        if (cursor.peek() != nullptr) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  EXPECT_EQ(store.stats().records_generated, kStreams * kRecords);
 }
 
 TEST(ChunkStore, ComputeRunIsLowerBoundAndExactInsideChunks) {
@@ -104,7 +131,6 @@ TEST(ChunkStore, ComputeRunIsLowerBoundAndExactInsideChunks) {
   const Trace materialized = ZipfStreamGenerator(p).generate(3'000);
   TraceChunkStore store(/*chunk_records=*/64);
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 3'000);
-  store.set_readers(1);
   ChunkCursor cursor(store, id);
   for (std::size_t pos = 0; pos < materialized.records.size(); ++pos) {
     const std::size_t run = cursor.compute_run(48);
@@ -126,7 +152,6 @@ TEST(ChunkStore, SkipCrossesChunkBoundaries) {
   const Trace materialized = ZipfStreamGenerator(p).generate(2'000);
   TraceChunkStore store(/*chunk_records=*/128);
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 2'000);
-  store.set_readers(1);
   ChunkCursor cursor(store, id);
   std::size_t pos = 0;
   while (pos + 151 < 2'000) {  // stride > chunk, lands at shifting offsets
@@ -145,7 +170,6 @@ TEST(ChunkStore, MultipleStreamsStayIndependent) {
   const auto p1 = zipf_params(46);
   const std::size_t id0 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p0), 1'000);
   const std::size_t id1 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p1), 1'500);
-  store.set_readers(1);
   EXPECT_EQ(store.stream_count(), 2u);
   EXPECT_EQ(store.stream_length(id0), 1'000u);
   EXPECT_EQ(store.stream_length(id1), 1'500u);
@@ -164,20 +188,21 @@ TEST(ChunkStore, MultipleStreamsStayIndependent) {
   EXPECT_EQ(c1.peek(), nullptr);
 }
 
-TEST(ChunkStore, ResetAtStartIsANoOpButMidStreamThrows) {
+TEST(ChunkStore, ResetRewindsToTheStart) {
   const auto p = zipf_params(47);
+  const Trace materialized = ZipfStreamGenerator(p).generate(1'000);
   TraceChunkStore store(/*chunk_records=*/128);
   const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 1'000);
-  store.set_readers(1);
   ChunkCursor cursor(store, id);
-  cursor.reset();  // still at offset 0: fine
-  const TraceRecord first = *cursor.peek();
-  cursor.reset();  // peek() does not consume
-  EXPECT_TRUE(records_equal(*cursor.peek(), first));
-  cursor.advance();
-  // Consumed chunks may already be freed for other readers; reset() after
-  // consumption is out of contract.
-  EXPECT_THROW(cursor.reset(), std::invalid_argument);
+  cursor.skip(700);  // well past the first chunks
+  cursor.reset();
+  EXPECT_EQ(cursor.position(), 0u);
+  for (std::size_t pos = 0; pos < 1'000; ++pos) {
+    ASSERT_TRUE(records_equal(*cursor.peek(), materialized.records[pos])) << "at record " << pos;
+    cursor.advance();
+  }
+  EXPECT_EQ(cursor.peek(), nullptr);
+  EXPECT_THROW(cursor.skip(1), std::logic_error);  // past the end
 }
 
 }  // namespace

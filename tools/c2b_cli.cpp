@@ -47,9 +47,10 @@
 //       per-constraint rejection/binding statistics.
 //   c2b report --journal <file> [--top K] [--heatmap-out <csv>]
 //       Replay a run journal (see --journal-out) into a post-mortem: phase
-//       time breakdown, cache/batch effectiveness, top-K slowest trace
-//       classes, per-class sim-time percentiles, and (with --heatmap-out)
-//       an objective-vs-(N, cache split) CSV heatmap.
+//       time breakdown, cache/batch effectiveness, per-unit sim-time
+//       percentiles with the top-K slowest work units, one replay-balance
+//       line per batched call, and (with --heatmap-out) an
+//       objective-vs-(N, cache split) CSV heatmap.
 //   c2b check [--family all|analytic|determinism|invariants|kernel|constraint|surrogate|cache]
 //             [--seed S] [--bands-out <file>]
 //       Run the differential oracle families (analytic model vs simulator

@@ -2,7 +2,10 @@
 
 // Minimal flag parser for the c2b command-line tool: supports
 // `--flag value`, `--flag=value`, and boolean `--flag`. Unknown flags are
-// an error (typos should not silently do nothing).
+// an error (typos should not silently do nothing). The parser cannot tell a
+// known valued flag from an unknown one, so a valued flag that ends the
+// line with no value is only judged at finish(): "needs a value" when the
+// command queried it, "unknown flag" otherwise.
 
 #include <map>
 #include <optional>
@@ -18,7 +21,12 @@ class Args {
   /// Parse argv[first..). `boolean_flags` take no value.
   Args(int argc, char** argv, int first, std::set<std::string> boolean_flags = {});
 
-  bool has(const std::string& flag) const { return values_.count(flag) > 0; }
+  /// Whether the flag was given a value (or is a given boolean flag).
+  /// Counts as querying it.
+  bool has(const std::string& flag) const {
+    mark_used(flag);
+    return values_.count(flag) > 0;
+  }
 
   std::string get(const std::string& flag, const std::string& fallback) const;
   double get(const std::string& flag, double fallback) const;
@@ -31,12 +39,15 @@ class Args {
   std::optional<long long> get_opt(const std::string& flag, long long bare_value) const;
 
   /// Flags that were parsed but never queried — call at the end to reject
-  /// typos (`finish()` throws listing them).
+  /// typos (`finish()` throws listing them), and a queried flag that was
+  /// given no value (`finish()` throws naming it). Queries before finish()
+  /// see such a flag as absent.
   void mark_used(const std::string& flag) const { used_.insert(flag); }
   void finish() const;
 
  private:
   std::map<std::string, std::string> values_;
+  std::string valueless_;  ///< a trailing non-boolean flag with no value; empty if none
   mutable std::set<std::string> used_;
 };
 
@@ -55,8 +66,10 @@ inline Args::Args(int argc, char** argv, int first, std::set<std::string> boolea
       values_[token] = "true";
       continue;
     }
-    if (i + 1 >= argc)
-      throw std::invalid_argument("flag --" + token + " needs a value");
+    if (i + 1 >= argc) {
+      valueless_ = token;
+      break;
+    }
     values_[token] = argv[++i];
   }
 }
@@ -111,7 +124,9 @@ inline void Args::finish() const {
     (void)value;
     if (used_.count(flag) == 0) unknown += " --" + flag;
   }
+  if (!valueless_.empty() && used_.count(valueless_) == 0) unknown += " --" + valueless_;
   if (!unknown.empty()) throw std::invalid_argument("unknown flag(s):" + unknown);
+  if (!valueless_.empty()) throw std::invalid_argument("flag --" + valueless_ + " needs a value");
 }
 
 }  // namespace c2b::cli
