@@ -4,23 +4,6 @@
 
 namespace c2b {
 
-std::vector<double> linspace(double lo, double hi, std::size_t count) {
-  C2B_REQUIRE(count >= 2, "linspace needs at least 2 points");
-  std::vector<double> out(count);
-  const double step = (hi - lo) / static_cast<double>(count - 1);
-  for (std::size_t i = 0; i < count; ++i) out[i] = lo + step * static_cast<double>(i);
-  out.back() = hi;
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t count) {
-  C2B_REQUIRE(lo > 0.0 && hi > 0.0, "logspace requires positive bounds");
-  auto logs = linspace(std::log(lo), std::log(hi), count);
-  for (double& x : logs) x = std::exp(x);
-  logs.back() = hi;
-  return logs;
-}
-
 std::vector<int> pow2_sweep(int lo, int hi) {
   C2B_REQUIRE(lo >= 1 && hi >= lo, "pow2_sweep requires 1 <= lo <= hi");
   std::vector<int> out;

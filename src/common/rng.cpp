@@ -88,12 +88,6 @@ double Rng::normal() noexcept {
   return radius * std::cos(angle);
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
 std::size_t Rng::zipf(std::size_t n, double s) noexcept {
   return ZipfDistribution(n, s)(*this);
 }

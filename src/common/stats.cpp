@@ -39,10 +39,6 @@ double RunningStats::variance() const noexcept {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::sample_variance() const noexcept {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double mean_of(const std::vector<double>& xs) noexcept {

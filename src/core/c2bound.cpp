@@ -102,24 +102,4 @@ Evaluation C2BoundModel::evaluate(const DesignPoint& d) const {
   return e;
 }
 
-double C2BoundModel::generalized_objective(const DesignPoint& d, int stages) const {
-  C2B_REQUIRE(stages >= 1, "need at least one stage");
-  // Work is split into stages of increasing parallel degree i = 1..stages:
-  // stage 1 carries the sequential fraction, the remaining work is spread
-  // uniformly across stages 2..stages. J_D = sum_i g(i) * T_i / i where T_i
-  // is stage i's sequential execution time. With stages == 2 and full
-  // weight on the last stage this telescopes back to Eq. (8).
-  const Evaluation base = evaluate(d);
-  const double per_instruction = (base.cpi_exe + base.stall_per_instruction) *
-                                 machine_.cycle_time;
-  double objective = app_.f_seq * app_.ic0 * per_instruction;  // i = 1, g(1) = 1
-  if (stages == 1) return objective;
-  const double parallel_share = (1.0 - app_.f_seq) / static_cast<double>(stages - 1);
-  for (int i = 2; i <= stages; ++i) {
-    const double t_i = parallel_share * app_.ic0 * per_instruction;
-    objective += app_.g(static_cast<double>(i)) * t_i / static_cast<double>(i);
-  }
-  return objective;
-}
-
 }  // namespace c2b

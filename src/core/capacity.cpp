@@ -33,12 +33,4 @@ BoundRegime classify_problem(double real_problem_size, double capacity_bounded_s
                                                     : BoundRegime::kMemoryBound;
 }
 
-BoundRegime classify_workload(const WorkingSetFn& working_set, double on_chip_lines,
-                              double real_problem_size) {
-  const double bound =
-      capacity_bounded_problem_size(working_set, on_chip_lines, 1.0,
-                                    std::max(2.0, real_problem_size * 4.0));
-  return classify_problem(real_problem_size, bound);
-}
-
 }  // namespace c2b

@@ -16,12 +16,6 @@ inline bool almost_equal(double a, double b, double rel = 1e-9, double abs = 1e-
   return diff <= rel * std::max(std::fabs(a), std::fabs(b));
 }
 
-/// Linearly spaced vector of `count` points over [lo, hi] inclusive.
-std::vector<double> linspace(double lo, double hi, std::size_t count);
-
-/// Log-spaced vector of `count` points over [lo, hi] inclusive (lo, hi > 0).
-std::vector<double> logspace(double lo, double hi, std::size_t count);
-
 /// Integer geometric sweep: 1, 2, 4, ... capped at hi (used for core-count
 /// axes in the figure reproductions).
 std::vector<int> pow2_sweep(int lo, int hi);

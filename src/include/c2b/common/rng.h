@@ -45,9 +45,6 @@ class Rng {
   double normal() noexcept;
   double normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
 
-  /// Exponential with given rate (lambda > 0).
-  double exponential(double rate) noexcept;
-
   /// Bernoulli draw with probability p of true.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 

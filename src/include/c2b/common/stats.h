@@ -26,8 +26,6 @@ class RunningStats {
   double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
   /// Population variance (M2/n); 0 for fewer than 2 samples.
   double variance() const noexcept;
-  /// Sample variance (M2/(n-1)); 0 for fewer than 2 samples.
-  double sample_variance() const noexcept;
   double stddev() const noexcept;
   double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
   double max() const noexcept { return count_ == 0 ? 0.0 : max_; }

@@ -61,7 +61,6 @@ class AsymmetricC2BoundModel {
 
   const AppProfile& app() const noexcept { return model_.app(); }
   const MachineProfile& machine() const noexcept { return model_.machine(); }
-  const C2BoundModel& symmetric_model() const noexcept { return model_; }
 
  private:
   C2BoundModel model_;

@@ -107,11 +107,6 @@ class C2BoundModel {
   /// optimizer enforces Eq. 12; raw evaluation is useful for sweeps).
   Evaluation evaluate(const DesignPoint& d) const;
 
-  /// Eq. (8) generalized form J_D = sum_i g(i) T_i / i with parallel degree
-  /// ramping 1..N (the paper's "generalized version"); T_i is the
-  /// sequential time of stage i's work share.
-  double generalized_objective(const DesignPoint& d, int stages) const;
-
   const AppProfile& app() const noexcept { return app_; }
   const MachineProfile& machine() const noexcept { return machine_; }
 

@@ -32,8 +32,4 @@ enum class BoundRegime {
 /// Classify a real problem size b against the capacity bound a.
 BoundRegime classify_problem(double real_problem_size, double capacity_bounded_size);
 
-/// Convenience: classify directly from the working-set model.
-BoundRegime classify_workload(const WorkingSetFn& working_set, double on_chip_lines,
-                              double real_problem_size);
-
 }  // namespace c2b

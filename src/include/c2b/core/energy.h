@@ -60,7 +60,6 @@ class EnergyAwareModel {
   double objective_value(const DesignPoint& d, DesignObjective objective) const;
 
   const C2BoundModel& model() const noexcept { return model_; }
-  const EnergyModel& energy_model() const noexcept { return energy_; }
 
  private:
   C2BoundModel model_;

@@ -22,26 +22,4 @@ namespace c2b {
 /// Sun-Ni's law with a ScalingFunction.
 [[nodiscard]] double sunni_speedup(double f_seq, const ScalingFunction& g, double n);
 
-/// The scaled problem size W' = g(N) * W (Section II-B).
-[[nodiscard]] double scaled_problem_size(double base_problem_size, const ScalingFunction& g,
-                                         double n);
-
-/// Memory->problem-size map W = h(M) = a M^b and its g(N) = N^b derivation;
-/// kept as an explicit object so tests can verify g(N) = h(N M)/h(M) for the
-/// paper's dense-matrix example (W = (2M/3)^{3/2}).
-struct PowerLawWorkload {
-  double coefficient = 1.0;  ///< a
-  double exponent = 1.0;     ///< b
-
-  [[nodiscard]] double work_for_memory(double memory) const;  ///< h(M)
-  [[nodiscard]] double memory_for_work(double work) const;    ///< h^{-1}(W)
-  [[nodiscard]] double g(double n) const;                     ///< h(N M)/h(M) = N^b
-
-  /// Dense matrix multiplication from the paper: W = 2n^3, M = 3n^2, hence
-  /// h(M) = 2 (M/3)^{3/2}, i.e. a = 2/3^{3/2}, b = 3/2. (The paper prints
-  /// W = (2M/3)^{3/2}, whose constant is slightly off; the constant cancels
-  /// in g(N) = N^{3/2} either way.)
-  static PowerLawWorkload dense_matrix_multiply();
-};
-
 }  // namespace c2b

@@ -53,15 +53,10 @@ class Matrix {
   friend Matrix operator*(Matrix a, double s) noexcept { return a *= s; }
   friend Matrix operator*(double s, Matrix a) noexcept { return a *= s; }
 
-  Matrix transposed() const;
-
   /// Matrix-matrix product (ikj loop order for cache friendliness).
   friend Matrix operator*(const Matrix& a, const Matrix& b);
   /// Matrix-vector product.
   friend Vector operator*(const Matrix& a, const Vector& x);
-
-  double frobenius_norm() const noexcept;
-  double max_abs() const noexcept;
 
  private:
   std::size_t rows_ = 0;
@@ -71,7 +66,6 @@ class Matrix {
 
 /// Vector helpers.
 double dot(const Vector& a, const Vector& b);
-double norm2(const Vector& v) noexcept;
 double norm_inf(const Vector& v) noexcept;
 Vector axpy(double alpha, const Vector& x, const Vector& y);  // alpha*x + y
 

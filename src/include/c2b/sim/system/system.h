@@ -63,8 +63,6 @@ struct SystemResult {
 
   double total_instructions() const noexcept;
   double aggregate_ipc() const noexcept;
-  /// Instruction-weighted mean CPI across cores.
-  double mean_cpi() const noexcept;
 };
 
 /// Run every core to the end of its trace. Cores without a trace (fewer

@@ -1,41 +1,16 @@
 #pragma once
 
-// Derivative-free minimizers used by the C²-Bound optimizer:
-//  * golden-section for 1-D continuous searches (optimal N along a ray),
-//  * Nelder–Mead for the low-dimensional continuous area split (A0, A1, A2),
-//  * integer line minimization for discrete core counts.
+// Nelder–Mead simplex descent: the derivative-free minimizer the C²-Bound
+// optimizers run over the continuous cache-area split (A1, A2) at each
+// candidate core count.
 
 #include <functional>
-#include <string>
 
 #include "c2b/linalg/matrix.h"
 
 namespace c2b {
 
-using ScalarFn = std::function<double(double)>;
 using MultiFn = std::function<double(const Vector&)>;
-
-struct ScalarMinResult {
-  double x = 0.0;
-  double value = 0.0;
-  int evaluations = 0;
-};
-
-/// Golden-section search over [lo, hi] for a (quasi-)unimodal function.
-/// For non-unimodal functions it still returns a local minimum inside the
-/// bracket.
-ScalarMinResult golden_section_minimize(const ScalarFn& f, double lo, double hi,
-                                        double tolerance = 1e-8, int max_iterations = 200);
-
-/// Exhaustive minimum of f over integers [lo, hi] (inclusive). Exact; used
-/// when the core-count axis is small enough to scan, which keeps the
-/// case-split logic trivially correct.
-struct IntMinResult {
-  long long x = 0;
-  double value = 0.0;
-};
-IntMinResult integer_minimize(const std::function<double(long long)>& f, long long lo,
-                              long long hi);
 
 struct NelderMeadOptions {
   int max_iterations = 2000;
@@ -53,16 +28,5 @@ struct NelderMeadResult {
 /// Standard Nelder–Mead simplex descent (reflect/expand/contract/shrink).
 NelderMeadResult nelder_mead_minimize(const MultiFn& f, Vector x0,
                                       const NelderMeadOptions& options = {});
-
-/// Scalar root bracketing + bisection; used for capacity-bound inversion
-/// (Section V: max Z s.t. Y(Z) <= X) where Y is monotone but not closed-form
-/// invertible.
-struct BisectResult {
-  double x = 0.0;
-  double fx = 0.0;
-  bool converged = false;
-};
-BisectResult bisect_root(const ScalarFn& f, double lo, double hi, double tolerance = 1e-12,
-                         int max_iterations = 200);
 
 }  // namespace c2b

@@ -49,9 +49,4 @@ SimPointResult pick_simpoints(const Trace& trace, const SimPointOptions& options
 Trace extract_interval(const Trace& trace, std::size_t interval_index,
                        std::uint64_t interval_length);
 
-/// Weighted scalar estimate from per-simpoint measurements:
-/// sum_i weight_i * value_i (weights sum to 1).
-double simpoint_weighted_estimate(const SimPointResult& result,
-                                  const std::vector<double>& per_point_values);
-
 }  // namespace c2b

@@ -1,7 +1,5 @@
 #include "c2b/laws/speedup.h"
 
-#include <cmath>
-
 #include "c2b/common/assert.h"
 
 namespace c2b {
@@ -36,31 +34,6 @@ double sunni_speedup(double f_seq, double g_of_n, double n) {
 
 double sunni_speedup(double f_seq, const ScalingFunction& g, double n) {
   return sunni_speedup(f_seq, g(n), n);
-}
-
-double scaled_problem_size(double base_problem_size, const ScalingFunction& g, double n) {
-  C2B_REQUIRE(base_problem_size > 0.0, "problem size must be positive");
-  return base_problem_size * g(n);
-}
-
-double PowerLawWorkload::work_for_memory(double memory) const {
-  C2B_REQUIRE(memory > 0.0, "memory must be positive");
-  return coefficient * std::pow(memory, exponent);
-}
-
-double PowerLawWorkload::memory_for_work(double work) const {
-  C2B_REQUIRE(work > 0.0, "work must be positive");
-  return std::pow(work / coefficient, 1.0 / exponent);
-}
-
-double PowerLawWorkload::g(double n) const {
-  C2B_REQUIRE(n >= 1.0, "N >= 1");
-  return std::pow(n, exponent);
-}
-
-PowerLawWorkload PowerLawWorkload::dense_matrix_multiply() {
-  // W = 2n^3 and M = 3n^2  =>  n = sqrt(M/3)  =>  W = 2 (M/3)^{3/2}.
-  return {.coefficient = 2.0 / std::pow(3.0, 1.5), .exponent = 1.5};
 }
 
 }  // namespace c2b

@@ -38,13 +38,6 @@ Matrix& Matrix::operator*=(double scalar) noexcept {
   return *this;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
 Matrix operator*(const Matrix& a, const Matrix& b) {
   C2B_REQUIRE(a.cols_ == b.rows_, "matrix shape mismatch in *");
   Matrix out(a.rows_, b.cols_, 0.0);
@@ -72,29 +65,11 @@ Vector operator*(const Matrix& a, const Vector& x) {
   return out;
 }
 
-double Matrix::frobenius_norm() const noexcept {
-  double sum = 0.0;
-  for (const double x : data_) sum += x * x;
-  return std::sqrt(sum);
-}
-
-double Matrix::max_abs() const noexcept {
-  double best = 0.0;
-  for (const double x : data_) best = std::max(best, std::fabs(x));
-  return best;
-}
-
 double dot(const Vector& a, const Vector& b) {
   C2B_REQUIRE(a.size() == b.size(), "dot of different-length vectors");
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
-}
-
-double norm2(const Vector& v) noexcept {
-  double sum = 0.0;
-  for (const double x : v) sum += x * x;
-  return std::sqrt(sum);
 }
 
 double norm_inf(const Vector& v) noexcept {

@@ -33,16 +33,6 @@ double SystemResult::aggregate_ipc() const noexcept {
   return cycles == 0 ? 0.0 : total_instructions() / static_cast<double>(cycles);
 }
 
-double SystemResult::mean_cpi() const noexcept {
-  double weighted = 0.0;
-  double instructions = 0.0;
-  for (const CoreResult& c : cores) {
-    weighted += c.cpi * static_cast<double>(c.instructions);
-    instructions += static_cast<double>(c.instructions);
-  }
-  return instructions == 0.0 ? 0.0 : weighted / instructions;
-}
-
 SystemResult simulate_system_streaming(const SystemConfig& config,
                                        const std::vector<TraceCursor*>& cursors) {
   return std::move(

@@ -28,56 +28,6 @@ double log10_simplex_volume(const std::vector<Vector>& simplex) {
 
 }  // namespace
 
-ScalarMinResult golden_section_minimize(const ScalarFn& f, double lo, double hi, double tolerance,
-                                        int max_iterations) {
-  C2B_REQUIRE(hi >= lo, "golden section requires hi >= lo");
-  constexpr double kInvPhi = 0.6180339887498949;  // 1/phi
-  ScalarMinResult result;
-
-  double a = lo, b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  result.evaluations = 2;
-
-  for (int iter = 0; iter < max_iterations && (b - a) > tolerance; ++iter) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-    ++result.evaluations;
-  }
-  if (f1 <= f2) {
-    result.x = x1;
-    result.value = f1;
-  } else {
-    result.x = x2;
-    result.value = f2;
-  }
-  return result;
-}
-
-IntMinResult integer_minimize(const std::function<double(long long)>& f, long long lo,
-                              long long hi) {
-  C2B_REQUIRE(hi >= lo, "integer_minimize requires hi >= lo");
-  IntMinResult best{lo, f(lo)};
-  for (long long x = lo + 1; x <= hi; ++x) {
-    const double v = f(x);
-    if (v < best.value) best = {x, v};
-  }
-  return best;
-}
-
 NelderMeadResult nelder_mead_minimize(const MultiFn& f, Vector x0,
                                       const NelderMeadOptions& options) {
   C2B_REQUIRE(!x0.empty(), "nelder-mead needs a non-empty start point");
@@ -173,37 +123,6 @@ NelderMeadResult nelder_mead_minimize(const MultiFn& f, Vector x0,
   result.x = simplex[best];
   result.value = values[best];
   return result;
-}
-
-BisectResult bisect_root(const ScalarFn& f, double lo, double hi, double tolerance,
-                         int max_iterations) {
-  C2B_REQUIRE(hi >= lo, "bisect requires hi >= lo");
-  BisectResult result;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return {lo, 0.0, true};
-  if (fhi == 0.0) return {hi, 0.0, true};
-  if (flo * fhi > 0.0) {
-    result.x = std::fabs(flo) < std::fabs(fhi) ? lo : hi;
-    result.fx = std::fabs(flo) < std::fabs(fhi) ? flo : fhi;
-    return result;  // not bracketed; converged stays false
-  }
-  double a = lo, b = hi;
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    const double mid = 0.5 * (a + b);
-    const double fmid = f(mid);
-    if (fmid == 0.0 || (b - a) * 0.5 < tolerance) {
-      return {mid, fmid, true};
-    }
-    if (flo * fmid < 0.0) {
-      b = mid;
-    } else {
-      a = mid;
-      flo = fmid;
-    }
-  }
-  const double mid = 0.5 * (a + b);
-  return {mid, f(mid), true};
 }
 
 }  // namespace c2b

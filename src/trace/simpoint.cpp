@@ -172,14 +172,4 @@ Trace extract_interval(const Trace& trace, std::size_t interval_index,
   return out;
 }
 
-double simpoint_weighted_estimate(const SimPointResult& result,
-                                  const std::vector<double>& per_point_values) {
-  C2B_REQUIRE(per_point_values.size() == result.points.size(),
-              "one value per simulation point required");
-  double estimate = 0.0;
-  for (std::size_t i = 0; i < result.points.size(); ++i)
-    estimate += result.points[i].weight * per_point_values[i];
-  return estimate;
-}
-
 }  // namespace c2b

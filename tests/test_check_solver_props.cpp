@@ -1,13 +1,11 @@
 // Property tests for the solver layer: Newton on random well-conditioned
-// quadratic systems, golden-section bracket containment, and bisection on
-// random monotone cubics — randomized inputs, deterministic seeds.
+// quadratic systems — randomized inputs, deterministic seeds.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "c2b/check/property.h"
-#include "c2b/solver/minimize.h"
 #include "c2b/solver/newton.h"
 
 namespace c2b {
@@ -75,100 +73,6 @@ TEST(SolverProps, NewtonConvergesOnRandomQuadratics) {
   options.cases = 100;
   const check::CheckResult result = check::check(p, check::options_from_env(options));
   EXPECT_TRUE(result.passed) << result.summary();
-}
-
-struct Bracket {
-  double lo = 0.0;
-  double hi = 1.0;
-  double minimum = 0.5;
-};
-
-TEST(SolverProps, GoldenSectionNeverEvaluatesOutsideBracket) {
-  check::Property<Bracket> p;
-  p.name = "golden_section_bracket_containment";
-  p.generate = [](Rng& rng) {
-    Bracket b;
-    b.lo = rng.uniform(-100.0, 100.0);
-    b.hi = b.lo + rng.uniform(1e-6, 200.0);
-    b.minimum = rng.uniform(b.lo, b.hi);
-    return b;
-  };
-  p.holds = [](const Bracket& b) -> std::optional<std::string> {
-    double out_of_bracket = 0.0;
-    const ScalarFn f = [&](double x) {
-      if (x < b.lo - 1e-12 || x > b.hi + 1e-12)
-        out_of_bracket = std::max({out_of_bracket, b.lo - x, x - b.hi});
-      return (x - b.minimum) * (x - b.minimum);
-    };
-    const ScalarMinResult result = golden_section_minimize(f, b.lo, b.hi);
-    if (out_of_bracket > 0.0)
-      return "evaluated " + std::to_string(out_of_bracket) + " outside [lo, hi]";
-    if (result.x < b.lo - 1e-9 || result.x > b.hi + 1e-9)
-      return "returned x outside the bracket";
-    const double width = b.hi - b.lo;
-    if (std::abs(result.x - b.minimum) > 1e-5 * std::max(1.0, width) + 1e-6)
-      return "missed the unimodal minimum by " + std::to_string(std::abs(result.x - b.minimum));
-    return std::nullopt;
-  };
-
-  check::CheckOptions options;
-  options.seed = 42;
-  options.cases = 200;
-  const check::CheckResult result = check::check(p, check::options_from_env(options));
-  EXPECT_TRUE(result.passed) << result.summary();
-}
-
-TEST(SolverProps, BisectionFindsRootsOfRandomMonotoneCubics) {
-  struct Cubic {
-    double a = 1.0, b = 0.0, root = 0.0, lo = -1.0, hi = 1.0;
-  };
-  check::Property<Cubic> p;
-  p.name = "bisection_monotone_cubic";
-  p.generate = [](Rng& rng) {
-    Cubic c;
-    c.a = rng.uniform(0.1, 5.0);   // x^3 coefficient > 0
-    c.b = rng.uniform(0.0, 5.0);   // + b x keeps it strictly increasing
-    c.root = rng.uniform(-8.0, 8.0);
-    c.lo = c.root - rng.uniform(0.5, 20.0);
-    c.hi = c.root + rng.uniform(0.5, 20.0);
-    return c;
-  };
-  p.holds = [](const Cubic& c) -> std::optional<std::string> {
-    const ScalarFn f = [&](double x) {
-      const double d = x - c.root;
-      return c.a * d * d * d + c.b * d;
-    };
-    const BisectResult result = bisect_root(f, c.lo, c.hi);
-    if (!result.converged) return std::string("did not converge");
-    if (std::abs(result.x - c.root) > 1e-6)
-      return "root off by " + std::to_string(std::abs(result.x - c.root));
-    return std::nullopt;
-  };
-
-  check::CheckOptions options;
-  options.seed = 42;
-  options.cases = 200;
-  const check::CheckResult result = check::check(p, check::options_from_env(options));
-  EXPECT_TRUE(result.passed) << result.summary();
-}
-
-TEST(SolverProps, IntegerMinimizeIsExactOnRandomConvexSequences) {
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    Rng rng(Rng::derive_stream_seed(42, i));
-    const long long lo = rng.uniform_int(-50, 0);
-    const long long hi = rng.uniform_int(1, 50);
-    const double center = rng.uniform(static_cast<double>(lo), static_cast<double>(hi));
-    const auto f = [&](long long x) {
-      const double d = static_cast<double>(x) - center;
-      return d * d;
-    };
-    const IntMinResult result = integer_minimize(f, lo, hi);
-    // Exhaustive reference.
-    long long best = lo;
-    for (long long x = lo; x <= hi; ++x)
-      if (f(x) < f(best)) best = x;
-    EXPECT_EQ(result.x, best) << "case " << i;
-  }
 }
 
 }  // namespace

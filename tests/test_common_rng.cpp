@@ -90,14 +90,6 @@ TEST(Rng, NormalMomentsApproximatelyStandard) {
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(8);
-  const int n = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(Rng, BernoulliFrequencyMatchesP) {
   Rng rng(21);
   int hits = 0;

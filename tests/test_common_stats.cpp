@@ -28,10 +28,9 @@ TEST(RunningStats, KnownSequence) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, SampleVarianceUsesNMinusOne) {
+TEST(RunningStats, VarianceDividesByN) {
   RunningStats s;
   for (const double x : {1.0, 2.0, 3.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.sample_variance(), 1.0);
   EXPECT_NEAR(s.variance(), 2.0 / 3.0, 1e-12);
 }
 
@@ -91,7 +90,6 @@ TEST(RunningStats, MergeSingleSampleSides) {
   EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.mean(), 3.0);
   EXPECT_DOUBLE_EQ(a.variance(), 1.0);       // population: ((1)^2+(1)^2)/2
-  EXPECT_DOUBLE_EQ(a.sample_variance(), 2.0);
   EXPECT_DOUBLE_EQ(a.min(), 2.0);
   EXPECT_DOUBLE_EQ(a.max(), 4.0);
 }

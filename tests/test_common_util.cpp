@@ -17,25 +17,6 @@ TEST(MathUtil, AlmostEqual) {
   EXPECT_TRUE(almost_equal(1e9, 1e9 * (1 + 1e-10)));
 }
 
-TEST(MathUtil, Linspace) {
-  const auto v = linspace(0.0, 1.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  EXPECT_DOUBLE_EQ(v[2], 0.5);
-  EXPECT_THROW(linspace(0.0, 1.0, 1), std::invalid_argument);
-}
-
-TEST(MathUtil, Logspace) {
-  const auto v = logspace(1.0, 1000.0, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_NEAR(v[0], 1.0, 1e-12);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
-  EXPECT_NEAR(v[2], 100.0, 1e-7);
-  EXPECT_DOUBLE_EQ(v[3], 1000.0);
-  EXPECT_THROW(logspace(0.0, 10.0, 3), std::invalid_argument);
-}
-
 TEST(MathUtil, Pow2Sweep) {
   const auto v = pow2_sweep(1, 1000);
   EXPECT_EQ(v.front(), 1);

@@ -158,22 +158,6 @@ TEST(C2Bound, ExecutionTimeGrowsWithFmem) {
   EXPECT_LT(mem.evaluate(d).throughput, base.evaluate(d).throughput);
 }
 
-TEST(C2Bound, GeneralizedObjectiveReducesToSimpleForm) {
-  const C2BoundModel model(demo_app(), demo_machine());
-  const DesignPoint d{.n_cores = 8, .a0 = 1.0, .a1 = 1.0, .a2 = 2.0};
-  // With 2 stages the generalized sum is f_seq*T + g(2)*T*(1-f_seq)/2,
-  // i.e. Eq. (8) evaluated at N = 2.
-  const Evaluation e = model.evaluate({.n_cores = 2, .a0 = 1.0, .a1 = 1.0, .a2 = 2.0});
-  const double per_instr = e.execution_time /
-                           (1e6 * (0.05 + model.app().g(2.0) * 0.95 / 2.0));
-  const double expected = 0.05 * 1e6 * per_instr +
-                          model.app().g(2.0) * 0.95 * 1e6 * per_instr / 2.0;
-  EXPECT_NEAR(model.generalized_objective({.n_cores = 2, .a0 = 1.0, .a1 = 1.0, .a2 = 2.0}, 2),
-              expected, expected * 1e-9);
-  EXPECT_GT(model.generalized_objective(d, 8), 0.0);
-  EXPECT_THROW((void)model.generalized_objective(d, 0), std::invalid_argument);
-}
-
 TEST(C2Bound, ValidationCatchesBadProfiles) {
   AppProfile bad = demo_app();
   bad.f_mem = 1.5;
@@ -210,11 +194,6 @@ TEST(Capacity, DegenerateBrackets) {
 TEST(Capacity, RegimeClassification) {
   EXPECT_EQ(classify_problem(100.0, 500.0), BoundRegime::kProcessorBound);
   EXPECT_EQ(classify_problem(1000.0, 500.0), BoundRegime::kMemoryBound);
-  // Big-data app: working set exceeds the LLC -> memory bound.
-  EXPECT_EQ(classify_workload([](double z) { return z; }, 1 << 15, 1 << 20),
-            BoundRegime::kMemoryBound);
-  EXPECT_EQ(classify_workload([](double z) { return std::sqrt(z); }, 1 << 15, 1 << 20),
-            BoundRegime::kProcessorBound);
 }
 
 }  // namespace

@@ -62,26 +62,12 @@ TEST(Speedup, SunNiMonotoneInG) {
 TEST(Speedup, ScalingFunctionOverload) {
   const ScalingFunction g = ScalingFunction::power(1.5);
   EXPECT_NEAR(sunni_speedup(0.1, g, 16.0), sunni_speedup(0.1, 64.0, 16.0), 1e-12);
-  EXPECT_DOUBLE_EQ(scaled_problem_size(100.0, g, 4.0), 800.0);
 }
 
 TEST(Speedup, InvalidInputsThrow) {
   EXPECT_THROW((void)sunni_speedup(-0.1, 1.0, 2.0), std::invalid_argument);
   EXPECT_THROW((void)sunni_speedup(0.1, 0.0, 2.0), std::invalid_argument);
   EXPECT_THROW((void)sunni_speedup(0.1, 1.0, 0.5), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// PowerLawWorkload (the paper's dense-matrix derivation)
-
-TEST(PowerLawWorkload, DenseMatrixMultiplyDerivation) {
-  const PowerLawWorkload mm = PowerLawWorkload::dense_matrix_multiply();
-  // W = 2n^3, M = 3n^2 at n = 10: W = 2000, M = 300.
-  EXPECT_NEAR(mm.work_for_memory(300.0), 2000.0, 1e-9);
-  EXPECT_NEAR(mm.memory_for_work(2000.0), 300.0, 1e-9);
-  // g(N) = h(N M)/h(M) = N^{3/2} regardless of the coefficient.
-  EXPECT_NEAR(mm.g(4.0), 8.0, 1e-12);
-  EXPECT_NEAR(mm.work_for_memory(4.0 * 300.0) / mm.work_for_memory(300.0), 8.0, 1e-9);
 }
 
 // ---------------------------------------------------------------------------

@@ -159,7 +159,8 @@ TEST(BatchEquivalence, UnitsRespectTheLaneBoundWidestFirst) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     exec::set_thread_count(threads);
-    const auto units = scheduled_units(context, points, "t" + std::to_string(threads));
+    const auto units =
+        scheduled_units(context, points, std::string("t").append(std::to_string(threads)));
     EXPECT_EQ(units, expected) << "threads " << threads;
     double previous_lanes = 1e300;
     for (const auto& [cores, members] : units) {

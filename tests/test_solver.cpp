@@ -62,30 +62,7 @@ TEST(Newton, NumericJacobianMatchesAnalytic) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar / simplex minimizers
-
-TEST(GoldenSection, FindsParabolaMinimum) {
-  const auto r = golden_section_minimize([](double x) { return (x - 2.5) * (x - 2.5); }, 0, 10);
-  EXPECT_NEAR(r.x, 2.5, 1e-6);
-  EXPECT_NEAR(r.value, 0.0, 1e-10);
-}
-
-TEST(GoldenSection, BoundaryMinimum) {
-  const auto r = golden_section_minimize([](double x) { return x; }, 1.0, 5.0);
-  EXPECT_NEAR(r.x, 1.0, 1e-5);
-}
-
-TEST(IntegerMinimize, ExactScan) {
-  const auto r = integer_minimize(
-      [](long long x) { return static_cast<double>((x - 7) * (x - 7)); }, -10, 20);
-  EXPECT_EQ(r.x, 7);
-  EXPECT_DOUBLE_EQ(r.value, 0.0);
-}
-
-TEST(IntegerMinimize, SinglePoint) {
-  const auto r = integer_minimize([](long long) { return 3.0; }, 5, 5);
-  EXPECT_EQ(r.x, 5);
-}
+// Simplex minimizer
 
 TEST(NelderMead, Rosenbrock2D) {
   MultiFn rosenbrock = [](const Vector& v) {
@@ -108,17 +85,6 @@ TEST(NelderMead, Quadratic3D) {
   EXPECT_NEAR(r.x[0], 1.0, 1e-4);
   EXPECT_NEAR(r.x[1], -2.0, 1e-4);
   EXPECT_NEAR(r.x[2], 0.0, 1e-4);
-}
-
-TEST(Bisect, FindsBracketedRoot) {
-  const auto r = bisect_root([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Bisect, UnbracketedReportsFailure) {
-  const auto r = bisect_root([](double x) { return x * x + 1.0; }, -1.0, 1.0);
-  EXPECT_FALSE(r.converged);
 }
 
 // ---------------------------------------------------------------------------

@@ -81,13 +81,6 @@ TEST(SimPoint, ExtractIntervalBounds) {
   EXPECT_THROW(extract_interval(t, 10, 3000), std::invalid_argument);
 }
 
-TEST(SimPoint, WeightedEstimate) {
-  SimPointResult r;
-  r.points = {{0, 0.25}, {1, 0.75}};
-  EXPECT_DOUBLE_EQ(simpoint_weighted_estimate(r, {4.0, 8.0}), 7.0);
-  EXPECT_THROW(simpoint_weighted_estimate(r, {1.0}), std::invalid_argument);
-}
-
 TEST(SimPoint, DeterministicForSeed) {
   const Trace t = phased_trace(2000, 3);
   SimPointOptions opt;
