@@ -41,13 +41,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double mean_of(const std::vector<double>& xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
 double geomean_of(const std::vector<double>& xs) {
   C2B_REQUIRE(!xs.empty(), "geomean of empty vector");
   double log_sum = 0.0;
@@ -56,17 +49,6 @@ double geomean_of(const std::vector<double>& xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double percentile_of(std::vector<double> xs, double p) {
-  C2B_REQUIRE(!xs.empty(), "percentile of empty vector");
-  C2B_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  std::sort(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
 double mape(const std::vector<double>& predicted, const std::vector<double>& truth, double eps) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace c2b {
@@ -35,5 +36,29 @@ constexpr unsigned floor_log2(std::size_t value) noexcept {
   while (value >>= 1) ++result;
   return result;
 }
+
+/// x / d and x % d for a divisor d >= 1 fixed at construction, both exact:
+/// a shift and a mask when d is a power of two, the hardware divide
+/// otherwise. The simulator's per-access index maps (cache sets, bank and
+/// slice interleaving, DRAM rows) use it; every DSE geometry has
+/// power-of-two counts, so its hot path never divides.
+class FixedDivisor {
+ public:
+  explicit constexpr FixedDivisor(std::uint64_t d) noexcept
+      : d_(d), mask_(d - 1), shift_(floor_log2(d)), pow2_(is_pow2(d)) {}
+
+  constexpr std::uint64_t div(std::uint64_t x) const noexcept {
+    return pow2_ ? x >> shift_ : x / d_;
+  }
+  constexpr std::uint64_t mod(std::uint64_t x) const noexcept {
+    return pow2_ ? x & mask_ : x % d_;
+  }
+
+ private:
+  std::uint64_t d_;
+  std::uint64_t mask_;
+  unsigned shift_;
+  bool pow2_;
+};
 
 }  // namespace c2b

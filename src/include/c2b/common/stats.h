@@ -39,11 +39,8 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Batch helpers (copy-free where possible).
-double mean_of(const std::vector<double>& xs) noexcept;
-double geomean_of(const std::vector<double>& xs);  // requires all > 0
-/// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
-double percentile_of(std::vector<double> xs, double p);
+/// Geometric mean of a batch; requires every value > 0.
+double geomean_of(const std::vector<double>& xs);
 
 /// Mean absolute percentage error between predictions and ground truth,
 /// expressed as a fraction (0.0596 == 5.96%). Entries with |truth| < eps are

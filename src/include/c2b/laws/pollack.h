@@ -22,19 +22,6 @@ struct PollackCore {
     C2B_REQUIRE(k0 > 0.0 && phi0 >= 0.0, "invalid Pollack parameters");
     return k0 / std::sqrt(a0) + phi0;
   }
-
-  /// Relative single-core performance vs. a unit-area core (sqrt rule).
-  [[nodiscard]] double relative_performance(double a0) const {
-    return cpi_exe(1.0) / cpi_exe(a0);
-  }
-
-  /// Area needed to reach a target CPI (inverse of cpi_exe); throws if the
-  /// target is at or below the phi0 floor.
-  [[nodiscard]] double area_for_cpi(double target_cpi) const {
-    C2B_REQUIRE(target_cpi > phi0, "target CPI below the Pollack floor is unreachable");
-    const double root = k0 / (target_cpi - phi0);
-    return root * root;
-  }
 };
 
 }  // namespace c2b

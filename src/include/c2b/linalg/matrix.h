@@ -65,7 +65,6 @@ class Matrix {
 };
 
 /// Vector helpers.
-double dot(const Vector& a, const Vector& b);
 double norm_inf(const Vector& v) noexcept;
 Vector axpy(double alpha, const Vector& x, const Vector& y);  // alpha*x + y
 

@@ -46,12 +46,6 @@ struct CamatParams {
 /// collapses to AMAT (the paper's "AMAT is a special case of C-AMAT").
 [[nodiscard]] CamatParams camat_from_sequential(const AmatParams& p);
 
-/// APC (accesses per memory-active cycle); APC = 1 / C-AMAT.
-[[nodiscard]] inline double apc_from_camat(double camat_cycles) {
-  C2B_REQUIRE(camat_cycles > 0.0, "C-AMAT must be positive");
-  return 1.0 / camat_cycles;
-}
-
 /// Classic sequential data-stall time per instruction (Eq. 6):
 /// stall = f_mem * AMAT ... valid only when no concurrency exists.
 [[nodiscard]] double data_stall_amat(double f_mem, double amat_cycles);

@@ -52,13 +52,18 @@ class Gauge {
   alignas(64) std::atomic<double> value_{0.0};
 };
 
+/// Bucket of a sample `offset` bucket widths above the histogram's low
+/// edge, clamped to [0, bins); NaN lands in bucket 0.
+inline std::size_t histogram_bin_at(double offset, std::size_t bins) noexcept {
+  if (!(offset > 0.0)) return 0;
+  return offset >= static_cast<double>(bins) ? bins - 1 : static_cast<std::size_t>(offset);
+}
+
 /// Bucket of sample `x` in a `bins`-bucket histogram starting at `lo` with
 /// bucket width `width`. Out-of-range samples clamp to the edge buckets,
 /// the same semantics as c2b::Histogram; NaN lands in bucket 0.
 inline std::size_t histogram_bin(double x, double lo, double width, std::size_t bins) noexcept {
-  const double offset = (x - lo) / width;
-  if (!(offset > 0.0)) return 0;
-  return offset >= static_cast<double>(bins) ? bins - 1 : static_cast<std::size_t>(offset);
+  return histogram_bin_at((x - lo) / width, bins);
 }
 
 /// Single-owner histogram with ConcurrentHistogram's (lo, hi, bins) shape
@@ -69,8 +74,12 @@ class LocalHistogram {
  public:
   LocalHistogram(double lo, double hi, std::size_t bins);
 
+  /// Buckets exactly as histogram_bin(x, lo, width, bins): a power-of-two
+  /// width multiplies by its reciprocal, which is exact, instead of
+  /// dividing.
   void record(double x) noexcept {
-    ++counts_[histogram_bin(x, lo_, width_, counts_.size())];
+    const double offset = inv_width_ != 0.0 ? (x - lo_) * inv_width_ : (x - lo_) / width_;
+    ++counts_[histogram_bin_at(offset, counts_.size())];
     ++count_;
     sum_ += x;
     sum_squares_ += x * x;
@@ -89,6 +98,7 @@ class LocalHistogram {
   double lo_;
   double hi_;
   double width_;
+  double inv_width_;  ///< 1 / width_ when width_ is a power of two, else 0
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

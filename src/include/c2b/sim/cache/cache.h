@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "c2b/common/assert.h"
+#include "c2b/common/math_util.h"
 
 namespace c2b::sim {
 
@@ -36,6 +37,14 @@ struct CacheGeometry {
 /// Tag array: probe/fill under the configured replacement policy.
 /// Addresses are byte addresses; set indexing uses the line number's low
 /// bits.
+///
+/// The ways are stored struct-of-arrays, slot = set * associativity + way:
+/// `keys_` holds line number + 1 (0 marks an invalid way), `used_` the LRU
+/// stamps (kLru only) and `dirty_` one byte each — 17 B per slot, so an
+/// 8-way set's keys fill one 64-byte host cache line. A resident line's
+/// key identifies it exactly (within a set, the line number and the tag
+/// determine each other), and the line shift and set map are precomputed
+/// (FixedDivisor), so a lookup neither divides nor reads a way's payload.
 class CacheArray {
  public:
   /// `victim_stream` seeds the kRandom xorshift state per instance (via
@@ -80,21 +89,29 @@ class CacheArray {
   }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t last_used = 0;  ///< LRU timestamp
-    bool valid = false;
-    bool dirty = false;
-  };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
 
-  std::uint64_t line_of(std::uint64_t byte_address) const {
-    return byte_address / geometry_.line_bytes;
+  std::uint64_t line_of(std::uint64_t byte_address) const { return byte_address >> line_shift_; }
+  std::size_t set_of(std::uint64_t line) const { return sets_.mod(line); }
+  /// Stored key of `line`.
+  static std::uint64_t key_of(std::uint64_t line) {
+    // line + 1 wraps only for address 2^64-1 in a 1-byte-line cache.
+    C2B_REQUIRE(line != ~std::uint64_t{0}, "address 2^64-1 has no key in a 1-byte-line cache");
+    return line + 1;
   }
-  std::size_t set_of(std::uint64_t line) const { return line % geometry_.sets(); }
-  std::uint64_t tag_of(std::uint64_t line) const { return line / geometry_.sets(); }
 
-  Way* find_way(std::uint64_t byte_address);
-  const Way* find_way(std::uint64_t byte_address) const;
+  /// Slot holding `key` in `set`, or kAbsent.
+  std::size_t find_slot(std::size_t set, std::uint64_t key) const {
+    const std::size_t base = set * assoc_;
+    const std::uint64_t* keys = keys_.data() + base;
+    for (std::uint32_t i = 0; i < assoc_; ++i)
+      if (keys[i] == key) return base + i;
+    return kAbsent;
+  }
+  std::size_t find_slot(std::uint64_t byte_address) const {
+    const std::uint64_t line = line_of(byte_address);
+    return find_slot(set_of(line), key_of(line));
+  }
   /// Victim way index within a set per the policy (prefers invalid ways).
   std::uint32_t pick_victim(std::size_t set);
   /// Policy bookkeeping on a touch of way `way` in `set`.
@@ -102,7 +119,12 @@ class CacheArray {
 
   CacheGeometry geometry_;
   ReplacementPolicy policy_;
-  std::vector<Way> ways_;            ///< ways_[set * assoc + way], stable slots
+  unsigned line_shift_;           ///< log2(line_bytes)
+  std::uint32_t assoc_;           ///< geometry_.associativity
+  FixedDivisor sets_;             ///< set map: set = line % sets
+  std::vector<std::uint64_t> keys_;  ///< line + 1 per slot, 0 = invalid
+  std::vector<std::uint64_t> used_;  ///< LRU stamp per slot (kLru only)
+  std::vector<std::uint8_t> dirty_;  ///< dirty flag per slot
   std::vector<std::uint64_t> plru_;  ///< per-set PLRU bit tree (bit i = node i)
   std::uint64_t clock_ = 0;   ///< LRU timestamp source
   std::uint64_t rng_state_;   ///< xorshift for kRandom, stream-seeded per instance
@@ -132,6 +154,7 @@ class BankPortScheduler {
     std::uint32_t used = 0;    ///< ports consumed in that cycle
   };
   std::vector<BankState> state_;
+  FixedDivisor bank_of_;  ///< bank = line % banks
   std::uint32_t ports_;
   std::uint64_t contention_cycles_ = 0;
 };

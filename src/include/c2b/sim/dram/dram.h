@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "c2b/common/assert.h"
+#include "c2b/common/math_util.h"
 #include "c2b/obs/registry.h"
 
 namespace c2b::sim {
@@ -77,6 +78,11 @@ class DramModel {
   };
 
   DramConfig config_;
+  FixedDivisor row_of_;   ///< row = line / lines_per_row
+  FixedDivisor bank_of_;  ///< bank = row % banks
+  /// 1 / t_bus when t_bus is a power of two (the quotient by a power of two
+  /// equals the product with its exact reciprocal), else 0: divide.
+  double inv_t_bus_;
   std::vector<BankState> banks_;
   std::uint64_t bus_free_ = 0;
   DramStats stats_;

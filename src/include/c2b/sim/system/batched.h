@@ -13,12 +13,13 @@
 // C-AMAT detection runs only where it is read. The caller states once per
 // call whether it wants C-AMAT (ReplayMode), and the kernel is compiled
 // twice from the one step body: with the per-core detectors, or without
-// them (timing only). The system.h entry points — characterization,
-// `c2b simulate`, the figure benches — measure C-AMAT; design replay in the
-// DSE layer is timing-only, because a design's score is its simulated
-// execution time alone (the paper measures concurrency once, when it
-// characterizes the application). Both modes do the same kernel work
-// otherwise and publish identical telemetry.
+// them (timing only). The system.h entry points — characterization's
+// real-memory run, `c2b simulate`, the figure benches — measure C-AMAT.
+// Design replay in the DSE layer is timing-only, because a design's score
+// is its simulated execution time alone (the paper measures concurrency
+// once, when it characterizes the application); so is characterization's
+// perfect-memory run, read only for CPI_exe. Both modes do the same kernel
+// work otherwise and publish identical telemetry.
 //
 // Members advance in lockstep over the shared trace streams: every member
 // is driven to a common, monotonically growing record target before any

@@ -121,6 +121,9 @@ class MemoryHierarchy {
 
  private:
   HierarchyConfig config_;
+  /// log2 of the shared line size (validated a power of two): line numbers
+  /// and line addresses convert by shifting.
+  unsigned line_shift_;
 
   // Per-core private L1s.
   std::vector<CacheArray> l1_;

@@ -51,8 +51,9 @@ struct CoreResult {
   double f_mem = 0.0;
   /// Measured by the per-core detector. Empty (default-constructed,
   /// accesses == 0) in timing-only results: simulate_system_batched under
-  /// ReplayMode::kTimingOnly, which is how design replay runs. The entry
-  /// points below always measure it.
+  /// ReplayMode::kTimingOnly, which is how design replay and
+  /// characterization's perfect-memory run go. The entry points below
+  /// always measure it.
   TimelineMetrics camat;
 };
 

@@ -40,12 +40,6 @@ class StackDistanceAnalyzer {
   std::uint64_t access_count() const noexcept { return time_; }
   std::uint64_t cold_miss_count() const noexcept { return cold_misses_; }
 
-  /// Histogram of observed distances, bucketed by power of two:
-  /// bucket[i] counts distances in [2^i, 2^{i+1}).
-  const std::vector<std::uint64_t>& distance_histogram_pow2() const noexcept {
-    return histogram_;
-  }
-
   /// Miss ratio of a fully-associative LRU cache with `lines` lines
   /// (cold misses always count as misses). Exact, from raw distances.
   double miss_ratio_for(std::uint64_t lines) const;

@@ -65,13 +65,6 @@ Vector operator*(const Matrix& a, const Vector& x) {
   return out;
 }
 
-double dot(const Vector& a, const Vector& b) {
-  C2B_REQUIRE(a.size() == b.size(), "dot of different-length vectors");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
-}
-
 double norm_inf(const Vector& v) noexcept {
   double best = 0.0;
   for (const double x : v) best = std::max(best, std::fabs(x));

@@ -35,11 +35,17 @@ LocalHistogram::LocalHistogram(double lo, double hi, std::size_t bins)
     : lo_(lo),
       hi_(hi),
       width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
+      inv_width_(0.0),
       counts_(bins),
       min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {
   C2B_REQUIRE(hi > lo, "histogram needs hi > lo");
   C2B_REQUIRE(bins >= 1, "histogram needs at least one bin");
+  // x / 2^k and x * 2^-k round the same real number, so they agree bit for
+  // bit whenever 2^-k is itself a finite double.
+  int exponent = 0;
+  if (std::frexp(width_, &exponent) == 0.5 && std::isfinite(1.0 / width_))
+    inv_width_ = 1.0 / width_;
 }
 
 ConcurrentHistogram::ConcurrentHistogram(double lo, double hi, std::size_t bins)

@@ -26,40 +26,32 @@ CacheArray::CacheArray(const CacheGeometry& geometry, ReplacementPolicy policy,
                        std::uint64_t victim_stream)
     : geometry_(geometry),
       policy_(policy),
+      line_shift_(floor_log2(geometry.line_bytes)),
+      assoc_(geometry.associativity),
+      sets_(geometry.sets()),
       rng_state_(Rng::derive_stream_seed(kVictimSeedBase, victim_stream)) {
   if (rng_state_ == 0) rng_state_ = kVictimSeedBase;  // xorshift must not start at 0
   geometry_.validate();
   C2B_REQUIRE(policy_ != ReplacementPolicy::kTreePlru || is_pow2(geometry_.associativity),
               "tree-PLRU requires power-of-two associativity");
-  ways_.resize(geometry_.sets() * geometry_.associativity);
+  const std::size_t slots = geometry_.sets() * assoc_;
+  keys_.assign(slots, 0);
+  dirty_.assign(slots, 0);
+  if (policy_ == ReplacementPolicy::kLru) used_.assign(slots, 0);
   if (policy_ == ReplacementPolicy::kTreePlru) plru_.assign(geometry_.sets(), 0);
-}
-
-CacheArray::Way* CacheArray::find_way(std::uint64_t byte_address) {
-  const std::uint64_t line = line_of(byte_address);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  Way* base = ways_.data() + set * geometry_.associativity;
-  for (std::uint32_t i = 0; i < geometry_.associativity; ++i)
-    if (base[i].valid && base[i].tag == tag) return base + i;
-  return nullptr;
-}
-
-const CacheArray::Way* CacheArray::find_way(std::uint64_t byte_address) const {
-  return const_cast<CacheArray*>(this)->find_way(byte_address);
 }
 
 void CacheArray::note_use(std::size_t set, std::uint32_t way) {
   switch (policy_) {
     case ReplacementPolicy::kLru:
-      ways_[set * geometry_.associativity + way].last_used = ++clock_;
+      used_[set * assoc_ + way] = ++clock_;
       break;
     case ReplacementPolicy::kTreePlru: {
       // Walk root->leaf; at each node record "went the other way" so the
       // PLRU victim path points away from this way.
       std::uint64_t& tree = plru_[set];
       std::uint32_t node = 1;  // 1-based heap index
-      for (std::uint32_t span = geometry_.associativity / 2; span >= 1; span /= 2) {
+      for (std::uint32_t span = assoc_ / 2; span >= 1; span /= 2) {
         const bool right = (way / span) & 1;
         if (right) {
           tree &= ~(std::uint64_t{1} << node);  // bit 0 => victim goes left
@@ -76,22 +68,23 @@ void CacheArray::note_use(std::size_t set, std::uint32_t way) {
 }
 
 std::uint32_t CacheArray::pick_victim(std::size_t set) {
-  Way* base = ways_.data() + set * geometry_.associativity;
-  for (std::uint32_t i = 0; i < geometry_.associativity; ++i)
-    if (!base[i].valid) return i;
+  const std::size_t base = set * assoc_;
+  for (std::uint32_t i = 0; i < assoc_; ++i)
+    if (keys_[base + i] == 0) return i;
 
   switch (policy_) {
     case ReplacementPolicy::kLru: {
+      const std::uint64_t* used = used_.data() + base;
       std::uint32_t victim = 0;
-      for (std::uint32_t i = 1; i < geometry_.associativity; ++i)
-        if (base[i].last_used < base[victim].last_used) victim = i;
+      for (std::uint32_t i = 1; i < assoc_; ++i)
+        if (used[i] < used[victim]) victim = i;
       return victim;
     }
     case ReplacementPolicy::kTreePlru: {
       const std::uint64_t tree = plru_[set];
       std::uint32_t node = 1;
       std::uint32_t way = 0;
-      for (std::uint32_t span = geometry_.associativity / 2; span >= 1; span /= 2) {
+      for (std::uint32_t span = assoc_ / 2; span >= 1; span /= 2) {
         const bool right = (tree >> node) & 1;
         if (right) way += span;
         node = 2 * node + (right ? 1 : 0);
@@ -103,8 +96,7 @@ std::uint32_t CacheArray::pick_victim(std::size_t set) {
       rng_state_ ^= rng_state_ >> 12;
       rng_state_ ^= rng_state_ << 25;
       rng_state_ ^= rng_state_ >> 27;
-      return static_cast<std::uint32_t>((rng_state_ * 0x2545F4914F6CDD1Dull) %
-                                        geometry_.associativity);
+      return static_cast<std::uint32_t>((rng_state_ * 0x2545F4914F6CDD1Dull) % assoc_);
     }
   }
   return 0;
@@ -112,66 +104,67 @@ std::uint32_t CacheArray::pick_victim(std::size_t set) {
 
 bool CacheArray::probe(std::uint64_t byte_address, bool mark_dirty) {
   ++probes_;
-  Way* way = find_way(byte_address);
-  if (way == nullptr) return false;
+  const std::uint64_t line = line_of(byte_address);
+  const std::size_t set = set_of(line);
+  const std::size_t slot = find_slot(set, key_of(line));
+  if (slot == kAbsent) return false;
   ++hits_;
-  if (mark_dirty) way->dirty = true;
-  const std::size_t set = set_of(line_of(byte_address));
-  note_use(set, static_cast<std::uint32_t>(way - (ways_.data() + set * geometry_.associativity)));
+  if (mark_dirty) dirty_[slot] = 1;
+  note_use(set, static_cast<std::uint32_t>(slot - set * assoc_));
   return true;
 }
 
 bool CacheArray::contains(std::uint64_t byte_address) const {
-  return find_way(byte_address) != nullptr;
+  return find_slot(byte_address) != kAbsent;
 }
 
 bool CacheArray::is_dirty(std::uint64_t byte_address) const {
-  const Way* way = find_way(byte_address);
-  return way != nullptr && way->dirty;
+  const std::size_t slot = find_slot(byte_address);
+  return slot != kAbsent && dirty_[slot] != 0;
 }
 
 std::optional<CacheArray::Evicted> CacheArray::fill(std::uint64_t byte_address, bool dirty) {
   const std::uint64_t line = line_of(byte_address);
   const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
+  const std::uint64_t key = key_of(line);
 
   // If already present (e.g. a merged miss filled first), refresh state.
-  if (Way* existing = find_way(byte_address)) {
-    existing->dirty = existing->dirty || dirty;
-    note_use(set, static_cast<std::uint32_t>(
-                      existing - (ways_.data() + set * geometry_.associativity)));
+  if (const std::size_t slot = find_slot(set, key); slot != kAbsent) {
+    if (dirty) dirty_[slot] = 1;
+    note_use(set, static_cast<std::uint32_t>(slot - set * assoc_));
     return std::nullopt;
   }
 
-  const std::uint32_t victim_index = pick_victim(set);
-  Way& victim = ways_[set * geometry_.associativity + victim_index];
+  const std::uint32_t victim_way = pick_victim(set);
+  const std::size_t slot = set * assoc_ + victim_way;
   std::optional<Evicted> evicted;
-  if (victim.valid) {
-    const std::uint64_t victim_line = victim.tag * geometry_.sets() + set;
-    evicted = Evicted{victim_line * geometry_.line_bytes, victim.dirty};
-    if (victim.dirty) ++dirty_evictions_;
+  if (keys_[slot] != 0) {
+    evicted = Evicted{(keys_[slot] - 1) << line_shift_, dirty_[slot] != 0};
+    if (dirty_[slot] != 0) ++dirty_evictions_;
   }
-  victim = Way{.tag = tag, .last_used = 0, .valid = true, .dirty = dirty};
-  note_use(set, victim_index);
+  keys_[slot] = key;
+  dirty_[slot] = dirty ? 1 : 0;
+  note_use(set, victim_way);
   return evicted;
 }
 
 bool CacheArray::invalidate(std::uint64_t byte_address) {
-  Way* way = find_way(byte_address);
-  if (way == nullptr) return false;
-  *way = Way{};
+  const std::size_t slot = find_slot(byte_address);
+  if (slot == kAbsent) return false;
+  keys_[slot] = 0;
+  dirty_[slot] = 0;
   return true;
 }
 
 BankPortScheduler::BankPortScheduler(std::uint32_t banks, std::uint32_t ports_per_bank)
-    : ports_(ports_per_bank) {
+    : bank_of_(banks), ports_(ports_per_bank) {
   C2B_REQUIRE(banks >= 1, "need at least one bank");
   C2B_REQUIRE(ports_per_bank >= 1, "need at least one port per bank");
   state_.resize(banks);
 }
 
 std::uint64_t BankPortScheduler::schedule(std::uint64_t line, std::uint64_t earliest) {
-  BankState& bank = state_[line % state_.size()];
+  BankState& bank = state_[bank_of_.mod(line)];
   if (earliest > bank.cycle) {
     bank.cycle = earliest;
     bank.used = 1;
@@ -212,12 +205,33 @@ void MshrFile::retire_before(std::uint64_t cycle) {
 }
 
 MshrFile::Grant MshrFile::request(std::uint64_t line, std::uint64_t cycle) {
-  retire_before(cycle);
-  for (const Entry& e : entries_) {
-    if (e.line == line) {
-      ++merges_;
-      return {.start_cycle = cycle, .merged = true, .merged_completion = e.completion};
+  // One pass retires the entries complete by `cycle` (only when
+  // earliest_completion_ says some are) and looks `line` up among the
+  // survivors — exactly retire_before(cycle) followed by the lookup.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t match = kNone;
+  if (earliest_completion_ != 0 && earliest_completion_ <= cycle) {
+    std::size_t keep = 0;
+    std::uint64_t earliest = 0;
+    for (const Entry& e : entries_) {
+      if (e.completion != 0 && e.completion <= cycle) continue;
+      if (e.completion != 0 && (earliest == 0 || e.completion < earliest)) earliest = e.completion;
+      if (match == kNone && e.line == line) match = keep;
+      entries_[keep++] = e;
     }
+    entries_.resize(keep);
+    earliest_completion_ = earliest;
+  } else {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].line == line) {
+        match = i;
+        break;
+      }
+    }
+  }
+  if (match != kNone) {
+    ++merges_;
+    return {.start_cycle = cycle, .merged = true, .merged_completion = entries_[match].completion};
   }
   std::uint64_t start = cycle;
   if (entries_.size() >= capacity_) {
@@ -241,11 +255,21 @@ MshrFile::Grant MshrFile::request(std::uint64_t line, std::uint64_t cycle) {
 
 void MshrFile::complete(std::uint64_t line, std::uint64_t completion_cycle) {
   C2B_REQUIRE(completion_cycle != 0, "completion cycle 0 is the 'unknown' sentinel");
+  // Live lines are unique (request() only appends a line it did not find),
+  // so the newest entry — the one the caller usually just requested — is
+  // checked first and the scan is the fallback.
+  auto record = [&](Entry& e) {
+    e.completion = completion_cycle;
+    if (earliest_completion_ == 0 || completion_cycle < earliest_completion_)
+      earliest_completion_ = completion_cycle;
+  };
+  if (!entries_.empty() && entries_.back().line == line && entries_.back().completion == 0) {
+    record(entries_.back());
+    return;
+  }
   for (Entry& e : entries_) {
     if (e.line == line && e.completion == 0) {
-      e.completion = completion_cycle;
-      if (earliest_completion_ == 0 || completion_cycle < earliest_completion_)
-        earliest_completion_ = completion_cycle;
+      record(e);
       return;
     }
   }

@@ -13,7 +13,11 @@ void DramConfig::validate() const {
               "DRAM timing parameters must be positive");
 }
 
-DramModel::DramModel(const DramConfig& config) : config_(config) {
+DramModel::DramModel(const DramConfig& config)
+    : config_(config),
+      row_of_(config.lines_per_row),
+      bank_of_(config.banks),
+      inv_t_bus_(is_pow2(config.t_bus) ? 1.0 / static_cast<double>(config.t_bus) : 0.0) {
   config_.validate();
   banks_.resize(config_.banks);
 }
@@ -21,8 +25,8 @@ DramModel::DramModel(const DramConfig& config) : config_(config) {
 std::uint64_t DramModel::access(std::uint64_t line, std::uint64_t arrival_cycle) {
   // Row-interleaved address map: consecutive rows rotate across banks, so
   // streaming access exploits bank-level parallelism like real controllers.
-  const std::uint64_t row = line / config_.lines_per_row;
-  BankState& bank = banks_[row % config_.banks];
+  const std::uint64_t row = row_of_.div(line);
+  BankState& bank = banks_[bank_of_.mod(row)];
 
   ++stats_.accesses;
   std::uint64_t start = std::max(arrival_cycle, bank.ready_cycle);
@@ -50,8 +54,9 @@ std::uint64_t DramModel::access(std::uint64_t line, std::uint64_t arrival_cycle)
   stats_.busy_cycle_estimate += config_.t_bus;
   // Queueing delay ahead of this request, expressed in burst slots: how many
   // bursts deep the bank + bus backlog effectively was on arrival.
-  queue_depth_.record(static_cast<double>(burst_start - arrival_cycle) /
-                      static_cast<double>(config_.t_bus));
+  const double backlog = static_cast<double>(burst_start - arrival_cycle);
+  queue_depth_.record(inv_t_bus_ != 0.0 ? backlog * inv_t_bus_
+                                        : backlog / static_cast<double>(config_.t_bus));
   return completion;
 }
 

@@ -10,32 +10,41 @@ void NocConfig::validate() const {
   C2B_REQUIRE(congestion_per_load >= 0.0, "congestion factor must be non-negative");
 }
 
-MeshNoc::MeshNoc(const NocConfig& config) : config_(config) {
+MeshNoc::MeshNoc(const NocConfig& config) : config_(config), slice_map_(config.nodes) {
   config_.validate();
   side_ = static_cast<std::uint32_t>(std::ceil(std::sqrt(static_cast<double>(config_.nodes))));
   if (side_ == 0) side_ = 1;
+  x_.resize(config_.nodes);
+  y_.resize(config_.nodes);
+  for (std::uint32_t node = 0; node < config_.nodes; ++node) {
+    x_[node] = node % side_;
+    y_[node] = node / side_;
+  }
+  congestion_ = congestion_cycles();
 }
 
 std::uint32_t MeshNoc::hops_between(std::uint32_t a, std::uint32_t b) const {
-  const std::uint32_t ax = a % side_, ay = a / side_;
-  const std::uint32_t bx = b % side_, by = b / side_;
-  const std::uint32_t dx = ax > bx ? ax - bx : bx - ax;
-  const std::uint32_t dy = ay > by ? ay - by : by - ay;
+  const std::uint32_t dx = x_[a] > x_[b] ? x_[a] - x_[b] : x_[b] - x_[a];
+  const std::uint32_t dy = y_[a] > y_[b] ? y_[a] - y_[b] : y_[b] - y_[a];
   return dx + dy;
+}
+
+std::uint64_t MeshNoc::congestion_cycles() const noexcept {
+  return static_cast<std::uint64_t>(config_.congestion_per_load * average_hops());
 }
 
 std::uint64_t MeshNoc::latency(std::uint32_t src_node, std::uint32_t dst_node) const {
   C2B_REQUIRE(src_node < config_.nodes && dst_node < config_.nodes, "node out of range");
   const std::uint32_t hops = hops_between(src_node, dst_node);
-  const double congestion = config_.congestion_per_load * average_hops();
   return config_.injection_latency + static_cast<std::uint64_t>(hops) * config_.hop_latency +
-         static_cast<std::uint64_t>(congestion);
+         congestion_;
 }
 
 std::uint64_t MeshNoc::round_trip(std::uint32_t src_node, std::uint32_t dst_node) {
   const std::uint64_t one_way = latency(src_node, dst_node);
   messages_ += 2;
   total_hops_ += 2ull * hops_between(src_node, dst_node);
+  congestion_ = congestion_cycles();
   return 2 * one_way;
 }
 

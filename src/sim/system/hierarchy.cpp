@@ -24,6 +24,7 @@ void HierarchyConfig::validate() const {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
     : config_(config),
+      line_shift_(floor_log2(config.l1_geometry.line_bytes)),
       l2_(config.l2_geometry, ReplacementPolicy::kLru, 0),
       l2_sched_(config.l2_banks, config.l2_ports_per_bank),
       l2_mshr_(config.l2_mshr_entries),
@@ -54,7 +55,7 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config)
 AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address, bool is_write,
                                       std::uint64_t cycle) {
   C2B_REQUIRE(core < config_.cores, "core id out of range");
-  const std::uint64_t line = address / config_.l1_geometry.line_bytes;
+  const std::uint64_t line = address >> line_shift_;
   const std::uint32_t slice = noc_.slice_of(line);
   const std::uint32_t core_node = core;  // cores occupy the first mesh nodes
 
@@ -70,7 +71,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
     if (victim.has_value()) {
       ++l2_evictions_;
       if (victim->dirty) {
-        dram_.access(victim->address / config_.l2_geometry.line_bytes, at_cycle);
+        dram_.access(victim->address >> line_shift_, at_cycle);
         ++l2_writebacks_;
       }
     }
@@ -135,9 +136,10 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   const std::uint64_t service_start = grant.merged ? lookup_done : grant.start_cycle;
 
   // ---- Travel to the line's home L2 slice ----
-  const std::uint64_t to_slice = noc_.latency(core_node, slice);
+  // round_trip() books the traffic and returns twice the one-way latency
+  // at the load before this message.
+  const std::uint64_t to_slice = noc_.round_trip(core_node, slice) / 2;
   const std::uint64_t from_slice = to_slice;  // symmetric route
-  noc_.round_trip(core_node, slice);          // traffic bookkeeping
   noc_round_trip_.record(static_cast<double>(2 * to_slice));
 
   const std::uint64_t l2_arrival = service_start + to_slice;
@@ -194,7 +196,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
   if (evicted.has_value()) {
     ++l1_evictions_;
     if (directory_)
-      directory_->on_evict(core, evicted->address / config_.l1_geometry.line_bytes);
+      directory_->on_evict(core, evicted->address >> line_shift_);
     if (evicted->dirty) {
       // Write-back to the victim's home L2 slice via the write buffer; it is
       // not on this access's critical path but generates real L2/DRAM traffic.
@@ -216,7 +218,7 @@ AccessOutcome MemoryHierarchy::access(std::uint32_t core, std::uint64_t address,
 
 void MemoryHierarchy::issue_prefetch(std::uint32_t core, std::uint64_t line,
                                      std::uint64_t at_cycle) {
-  const std::uint64_t address = line * config_.l1_geometry.line_bytes;
+  const std::uint64_t address = line << line_shift_;
   if (l1_[core].contains(address)) return;
   // Never prefetch a line another core holds modified: that would force an
   // ownership transfer on speculation.
@@ -230,7 +232,7 @@ void MemoryHierarchy::issue_prefetch(std::uint32_t core, std::uint64_t line,
     const std::uint64_t done = dram_.access(line, l2_start + config_.l2_hit_latency);
     const auto victim = l2_.fill(address);
     if (victim.has_value() && victim->dirty) {
-      dram_.access(victim->address / config_.l2_geometry.line_bytes, done);
+      dram_.access(victim->address >> line_shift_, done);
       ++l2_writebacks_;
     }
   }
@@ -238,16 +240,16 @@ void MemoryHierarchy::issue_prefetch(std::uint32_t core, std::uint64_t line,
   const auto evicted = l1_[core].fill(address);
   if (evicted.has_value()) {
     if (directory_)
-      directory_->on_evict(core, evicted->address / config_.l1_geometry.line_bytes);
+      directory_->on_evict(core, evicted->address >> line_shift_);
     if (evicted->dirty) {
       const auto victim = l2_.fill(evicted->address, true);
       if (victim.has_value() && victim->dirty) {
-        dram_.access(victim->address / config_.l2_geometry.line_bytes, at_cycle);
+        dram_.access(victim->address >> line_shift_, at_cycle);
         ++l2_writebacks_;
       }
       ++l1_writebacks_;
     }
-    prefetched_pending_[core].erase(evicted->address / config_.l1_geometry.line_bytes);
+    prefetched_pending_[core].erase(evicted->address >> line_shift_);
   }
   if (directory_) directory_->on_read(core, line);
   prefetched_pending_[core].insert(line);

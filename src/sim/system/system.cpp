@@ -8,7 +8,8 @@
 
 // The per-point entry points: K=1 calls into the one replay kernel
 // (simulate_system_batched, batched.cpp), always measuring C-AMAT — their
-// callers (characterization, `c2b simulate`, the figure benches) read it.
+// callers (characterization's real-memory run, `c2b simulate`, the figure
+// benches) read it.
 
 namespace c2b::sim {
 

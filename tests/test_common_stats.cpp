@@ -114,23 +114,10 @@ TEST(RunningStats, MergePropagatesMinMaxAcrossSides) {
   EXPECT_DOUBLE_EQ(wide.max(), 100.0);
 }
 
-TEST(BatchStats, MeanOf) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-}
-
 TEST(BatchStats, GeomeanOf) {
   EXPECT_DOUBLE_EQ(geomean_of({2.0, 8.0}), 4.0);
   EXPECT_THROW(geomean_of({1.0, -1.0}), std::invalid_argument);
   EXPECT_THROW(geomean_of({}), std::invalid_argument);
-}
-
-TEST(BatchStats, PercentileInterpolates) {
-  std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile_of(xs, 50.0), 25.0);
-  EXPECT_THROW(percentile_of(xs, 101.0), std::invalid_argument);
 }
 
 TEST(BatchStats, MapeBasics) {

@@ -150,18 +150,5 @@ TEST(Pollack, DiminishingReturns) {
   EXPECT_GT(gain_small, gain_large);
 }
 
-TEST(Pollack, AreaForCpiInverts) {
-  const PollackCore core{.k0 = 1.5, .phi0 = 0.3};
-  for (const double a : {0.5, 1.0, 4.0, 9.0})
-    EXPECT_NEAR(core.area_for_cpi(core.cpi_exe(a)), a, 1e-9);
-  EXPECT_THROW((void)core.area_for_cpi(0.3), std::invalid_argument);
-}
-
-TEST(Pollack, RelativePerformanceSqrtRule) {
-  const PollackCore core{.k0 = 1.0, .phi0 = 0.0};
-  EXPECT_NEAR(core.relative_performance(4.0), 2.0, 1e-12);
-  EXPECT_NEAR(core.relative_performance(16.0), 4.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace c2b

@@ -55,11 +55,6 @@ TEST(Concurrency, Equation3) {
   EXPECT_NEAR(concurrency(a, c), 3.8 / 1.6, 1e-12);
 }
 
-TEST(Apc, ReciprocalOfCamat) {
-  EXPECT_DOUBLE_EQ(apc_from_camat(1.6), 0.625);
-  EXPECT_THROW((void)apc_from_camat(0.0), std::invalid_argument);
-}
-
 TEST(DataStall, Equations5Through7) {
   EXPECT_DOUBLE_EQ(data_stall_amat(0.3, 3.8), 0.3 * 3.8);
   EXPECT_DOUBLE_EQ(data_stall_camat(0.3, 1.6, 0.25), 0.3 * 1.6 * 0.75);

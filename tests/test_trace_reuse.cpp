@@ -97,16 +97,6 @@ TEST(StackDistance, TinyLoopFitsInTinyCache) {
   EXPECT_GT(a.miss_ratio_for(2), 0.9);
 }
 
-TEST(StackDistance, HistogramBucketsArePow2) {
-  StackDistanceAnalyzer a(64);
-  for (int rep = 0; rep < 3; ++rep)
-    for (std::uint64_t line = 0; line < 10; ++line) a.access(line * 64);
-  const auto& h = a.distance_histogram_pow2();
-  std::uint64_t total = 0;
-  for (const auto count : h) total += count;
-  EXPECT_EQ(total, 20u);  // 30 accesses - 10 cold
-}
-
 TEST(PowerLawFit, RecoversKnownParameters) {
   // Construct a synthetic curve MR(S) = 0.1 * S^-0.5.
   std::vector<std::pair<std::uint64_t, double>> curve;
