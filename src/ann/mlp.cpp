@@ -85,13 +85,35 @@ double Mlp::forward(const double* scaled_input, double* acts) const {
   double* out = acts;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     const Matrix& w = weights_[l];
-    const std::size_t fan_in = w.cols() - 1;
+    const std::size_t cols = w.cols();
+    const std::size_t fan_in = cols - 1;
+    // Hidden layers use the configured activation; the output is linear.
     const bool output_layer = l + 1 == weights_.size();
+    // Each row sums bias first, then its inputs in ascending order. Four
+    // rows run side by side so their serial add chains overlap; every sum
+    // still makes the same additions in the same order.
     const double* row = w.data();
-    for (std::size_t r = 0; r < w.rows(); ++r, row += w.cols()) {
-      double sum = row[fan_in];  // bias
+    std::size_t r = 0;
+    for (; r + 4 <= w.rows(); r += 4, row += 4 * cols) {
+      const double* row1 = row + cols;
+      const double* row2 = row1 + cols;
+      const double* row3 = row2 + cols;
+      double sum0 = row[fan_in], sum1 = row1[fan_in], sum2 = row2[fan_in], sum3 = row3[fan_in];
+      for (std::size_t c = 0; c < fan_in; ++c) {
+        const double x = in[c];
+        sum0 += row[c] * x;
+        sum1 += row1[c] * x;
+        sum2 += row2[c] * x;
+        sum3 += row3[c] * x;
+      }
+      out[r] = output_layer ? sum0 : activate(sum0);
+      out[r + 1] = output_layer ? sum1 : activate(sum1);
+      out[r + 2] = output_layer ? sum2 : activate(sum2);
+      out[r + 3] = output_layer ? sum3 : activate(sum3);
+    }
+    for (; r < w.rows(); ++r, row += cols) {
+      double sum = row[fan_in];
       for (std::size_t c = 0; c < fan_in; ++c) sum += row[c] * in[c];
-      // Hidden layers use the configured activation; the output is linear.
       out[r] = output_layer ? sum : activate(sum);
     }
     in = out;
@@ -115,14 +137,16 @@ void Mlp::sgd_step(const double* scaled_input, double error) {
     Matrix& v = velocity_[l];
     const std::size_t fan_in = w.cols() - 1;
     // The layer below's delta sums over rows in ascending order, reading
-    // each weight before its own update overwrites it.
-    std::fill_n(next_delta_.begin(), fan_in, 0.0);
+    // each weight before its own update overwrites it. The input layer has
+    // no layer below, so its pass only updates.
+    const bool propagate = l > 0;
+    if (propagate) std::fill_n(next_delta_.begin(), fan_in, 0.0);
     double* w_row = w.data();
     double* v_row = v.data();
     for (std::size_t r = 0; r < w.rows(); ++r, w_row += w.cols(), v_row += v.cols()) {
       const double d = delta_[r];
       for (std::size_t c = 0; c < fan_in; ++c) {
-        next_delta_[c] += w_row[c] * d;
+        if (propagate) next_delta_[c] += w_row[c] * d;
         const double grad = d * in[c] + l2 * w_row[c];
         v_row[c] = momentum * v_row[c] - lr * grad;
         w_row[c] += v_row[c];
@@ -131,8 +155,8 @@ void Mlp::sgd_step(const double* scaled_input, double error) {
       v_row[fan_in] = momentum * v_row[fan_in] - lr * grad;
       w_row[fan_in] += v_row[fan_in];
     }
-    if (l > 0)
-      for (std::size_t c = 0; c < fan_in; ++c) next_delta_[c] *= activate_derivative(in[c]);
+    if (!propagate) break;
+    for (std::size_t c = 0; c < fan_in; ++c) next_delta_[c] *= activate_derivative(in[c]);
     std::swap(delta_, next_delta_);
   }
 }

@@ -15,6 +15,17 @@
 
 namespace c2b {
 
+FeasibleDesigns feasible_designs(const DseContext& context, const GridSpace& space) {
+  FeasibleDesigns plan;
+  const ConstraintSet constraints = design_constraints(context);
+  space.for_each([&](std::size_t flat, const std::vector<double>& point) {
+    if (!design_feasible(constraints, point)) return;
+    plan.flats.push_back(flat);
+    plan.points.push_back(point);
+  });
+  return plan;
+}
+
 FullDseResult run_full_dse(const DseContext& context, const GridSpace& space) {
   C2B_SPAN("aps/full_dse");
   FullDseResult result;
@@ -24,24 +35,19 @@ FullDseResult run_full_dse(const DseContext& context, const GridSpace& space) {
   // classes and schedules those on the thread pool. Outcomes come back in
   // work-list order, so the scatter below is serial and bit-identical at
   // any thread count.
-  std::vector<std::size_t> flats;
-  std::vector<std::vector<double>> points;
+  FeasibleDesigns plan;
   {
     obs::PhaseScope phase("plan");
-    space.for_each([&](std::size_t flat, const std::vector<double>& point) {
-      if (!design_feasible(context, point)) return;
-      flats.push_back(flat);
-      points.push_back(point);
-    });
+    plan = feasible_designs(context, space);
   }
   obs::PhaseScope phase("sweep");
-  result.feasible_count = flats.size();
+  result.feasible_count = plan.flats.size();
   C2B_REQUIRE(result.feasible_count > 0, "no feasible design in the space");
   if (context.surrogate_enabled) {
-    SurrogateSweepResult sweep = surrogate_sweep(context, points);
-    for (std::size_t i = 0; i < flats.size(); ++i) {
+    SurrogateSweepResult sweep = surrogate_sweep(context, plan.points);
+    for (std::size_t i = 0; i < plan.flats.size(); ++i) {
       if (!sweep.simulated[i]) continue;  // pruned: stays +infinity
-      result.times[flats[i]] = sweep.outcomes[i].time;
+      result.times[plan.flats[i]] = sweep.outcomes[i].time;
       C2B_COUNTER_INC("aps.full_dse.simulations");
     }
     result.batch = sweep.batch;
@@ -49,12 +55,12 @@ FullDseResult run_full_dse(const DseContext& context, const GridSpace& space) {
     result.simulations = sweep.stats.points_simulated;
   } else {
     const std::vector<BatchSimOutcome> outcomes =
-        simulate_design_times_batched(context, points, &result.batch);
-    for (std::size_t i = 0; i < flats.size(); ++i) {
-      result.times[flats[i]] = outcomes[i].time;
+        simulate_design_times_batched(context, plan.points, &result.batch);
+    for (std::size_t i = 0; i < plan.flats.size(); ++i) {
+      result.times[plan.flats[i]] = outcomes[i].time;
       C2B_COUNTER_INC("aps.full_dse.simulations");
     }
-    result.simulations = flats.size();
+    result.simulations = plan.flats.size();
   }
   result.best_index = static_cast<std::size_t>(
       std::min_element(result.times.begin(), result.times.end()) - result.times.begin());
@@ -196,8 +202,9 @@ ApsResult run_aps(const DseContext& context, const GridSpace& space, const ApsOp
   constexpr double kCoreCountWeight = 1e3;
   double best_distance = std::numeric_limits<double>::infinity();
   std::size_t snapped = 0;
+  const ConstraintSet constraints = design_constraints(context);
   space.for_each([&](std::size_t flat, const std::vector<double>& point) {
-    if (!design_feasible(context, point)) return;
+    if (!design_feasible(constraints, point)) return;
     double distance = 0.0;
     for (std::size_t axis = 0; axis < 4; ++axis) {
       const double diff = std::log(point[axis]) - std::log(std::max(1e-6, target[axis]));
@@ -255,7 +262,7 @@ ApsResult run_aps(const DseContext& context, const GridSpace& space, const ApsOp
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
                                   [&](std::size_t flat) {
-                                    return !design_feasible(context, space.point(flat));
+                                    return !design_feasible(constraints, space.point(flat));
                                   }),
                    candidates.end());
   std::vector<std::vector<double>> candidate_points;

@@ -63,17 +63,20 @@ Characterization characterize(const WorkloadSpec& spec, const sim::SystemConfig&
   const Trace trace = generator->generate(options.instructions);
 
   // ---- Which windows to simulate ----
-  std::vector<Trace> windows;
+  // Without simpoints the one window is the trace itself, read in place.
+  std::vector<Trace> intervals;
+  std::vector<const Trace*> windows;
   std::vector<double> weights;
   if (options.use_simpoints) {
     const SimPointResult sp = pick_simpoints(trace, options.simpoint);
     for (const SimPoint& p : sp.points) {
-      windows.push_back(extract_interval(trace, p.interval_index,
-                                         options.simpoint.interval_length));
+      intervals.push_back(extract_interval(trace, p.interval_index,
+                                           options.simpoint.interval_length));
       weights.push_back(p.weight);
     }
+    for (const Trace& interval : intervals) windows.push_back(&interval);
   } else {
-    windows.push_back(trace);
+    windows.push_back(&trace);
     weights.push_back(1.0);
   }
 
@@ -83,18 +86,19 @@ Characterization characterize(const WorkloadSpec& spec, const sim::SystemConfig&
   sim::SystemConfig perfect = baseline;
   perfect.hierarchy.perfect_memory = true;
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    const sim::SystemResult real = sim::simulate_single_core(baseline, windows[i]);
+    const Trace& window = *windows[i];
+    const sim::SystemResult real = sim::simulate_single_core(baseline, window);
     // Only cpi and memory_accesses are read from the perfect-memory run, so
     // it runs timing-only: bit-identical to simulate_single_core on every
     // field but the C-AMAT metrics it would measure.
-    VectorTraceCursor window_cursor(windows[i]);
+    VectorTraceCursor window_cursor(window);
     const sim::SystemResult ideal = std::move(
         sim::simulate_system_batched({perfect}, {{&window_cursor}},
                                      sim::ReplayMode::kTimingOnly)
             .front());
     out.simulation_runs += 2;
     C2B_COUNTER_ADD("aps.characterize.simulations", 2);
-    out.simulated_instructions += windows[i].records.size();
+    out.simulated_instructions += window.records.size();
     out.memory_accesses +=
         real.cores[0].memory_accesses + ideal.cores[0].memory_accesses;
     metrics.push_back(real.cores[0].camat);
@@ -118,8 +122,9 @@ Characterization characterize(const WorkloadSpec& spec, const sim::SystemConfig&
   app.f_mem = f_mem;
   app.f_seq = spec.f_seq;
   app.g = spec.g;
-  app.working_set_lines0 = std::max<double>(
-      1.0, static_cast<double>(trace.distinct_lines(baseline.hierarchy.l1_geometry.line_bytes)));
+  // Every distinct line's first touch is a cold miss, so the analyzer has
+  // already counted the trace's distinct lines.
+  app.working_set_lines0 = std::max<double>(1.0, static_cast<double>(stack.cold_miss_count()));
   app.hit_concurrency = out.camat.camat_params.hit_concurrency;
   app.miss_concurrency = out.camat.camat_params.miss_concurrency;
 

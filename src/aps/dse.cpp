@@ -288,9 +288,13 @@ ConstraintSet design_constraints(const DseContext& context) {
 }
 
 bool design_feasible(const DseContext& context, const std::vector<double>& point) {
+  return design_feasible(design_constraints(context), point);
+}
+
+bool design_feasible(const ConstraintSet& constraints, const std::vector<double>& point) {
   C2B_REQUIRE(point.size() == 6, "design point must have 6 coordinates");
   if (point[kAxisRob] < point[kAxisIssue]) return false;
-  return design_constraints(context).feasible(design_point_of(point));
+  return constraints.feasible(design_point_of(point));
 }
 
 namespace {

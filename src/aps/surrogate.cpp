@@ -46,13 +46,37 @@ constexpr double kBand = 0.25;
 /// first fit.
 constexpr std::size_t kWarmup = 3;
 
-/// The MLP sees log2 coordinates: every axis (areas, N, issue, ROB) is
-/// sampled at near-power-of-two steps, so the log2 grid is close to
-/// uniform and the min/max scaler wastes no range on the 16x spread.
-Vector features_of(const std::vector<double>& point) {
-  Vector f(point.size());
-  for (std::size_t d = 0; d < point.size(); ++d) f[d] = std::log2(point[d]);
-  return f;
+/// Distinct values per dimension whose log2 features_of remembers; a
+/// factorial grid repeats a handful per axis, so past this many the list
+/// is not a grid and each further value is taken directly.
+constexpr std::size_t kLog2Memo = 64;
+
+/// The net's view of every point, built once per sweep: the training set,
+/// each repredict and the final MRE pass all read these. The MLP sees log2
+/// coordinates: every axis (areas, N, issue, ROB) is sampled at
+/// near-power-of-two steps, so the log2 grid is close to uniform and the
+/// min/max scaler wastes no range on the 16x spread. Each distinct
+/// coordinate's log2 is computed once (equal inputs give equal outputs,
+/// so the features are bitwise those of a log2 per coordinate).
+std::vector<Vector> features_of(const std::vector<std::vector<double>>& points) {
+  const std::size_t dim = points[0].size();
+  std::vector<std::vector<std::pair<double, double>>> memo(dim);
+  std::vector<Vector> features(points.size(), Vector(dim));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      const double x = points[i][d];
+      std::vector<std::pair<double, double>>& seen = memo[d];
+      const auto hit = std::find_if(seen.begin(), seen.end(),
+                                    [x](const std::pair<double, double>& e) { return e.first == x; });
+      if (hit != seen.end()) {
+        features[i][d] = hit->second;
+        continue;
+      }
+      features[i][d] = std::log2(x);
+      if (seen.size() < kLog2Memo) seen.emplace_back(x, features[i][d]);
+    }
+  }
+  return features;
 }
 
 std::uint32_t cores_of(const std::vector<double>& point) {
@@ -79,6 +103,20 @@ bool sim_dominates(const SimPoint& a, const SimPoint& b) {
 
 }  // namespace
 
+std::vector<std::size_t> fallback_top_k(std::vector<std::size_t> pending,
+                                        const std::vector<double>& predicted, std::size_t k) {
+  if (k >= pending.size()) return pending;
+  // (prediction, index) is a strict total order on distinct indices, so the
+  // first k after partitioning are exactly the first k of the full sort.
+  std::nth_element(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(k),
+                   pending.end(), [&](std::size_t a, std::size_t b) {
+                     if (predicted[a] != predicted[b]) return predicted[a] < predicted[b];
+                     return a < b;
+                   });
+  pending.resize(k);
+  return pending;
+}
+
 SurrogateSweepResult surrogate_sweep(const DseContext& context,
                                      const std::vector<std::vector<double>>& points,
                                      const SurrogateObjectives* pareto) {
@@ -104,10 +142,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
     classes.push_back(ClassState{cores, std::move(members), false});
   result.stats.classes_total = classes.size();
 
-  // The net's view of every point, built once per sweep: the training set,
-  // each repredict and the final MRE pass all read these.
-  std::vector<Vector> features(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) features[i] = features_of(points[i]);
+  const std::vector<Vector> features = features_of(points);
 
   // Training set: (log2 point -> log time) in the order results streamed
   // in — a pure function of prior simulation results, so identical at any
@@ -179,6 +214,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   // none of the others.
   std::vector<double> predicted(points.size(), std::numeric_limits<double>::infinity());
   auto repredict = [&]() {
+    C2B_COUNTER_INC("exec.surrogate.predict_passes");
     const std::vector<double> log_pred = model.predict_batch(features);
     std::vector<std::size_t> pending;
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -230,8 +266,12 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   };
 
   // --- scheduling rounds: admit the most promising class, retrain ----------
+  // The unsimulated points as of the last repredict; when the loop ends
+  // nothing has been simulated or refit since, so they and `predicted`
+  // are already the final model's ranking for the fallback pass.
+  std::vector<std::size_t> pending;
   for (;;) {
-    repredict();
+    pending = repredict();
     refresh_incumbent();
     std::size_t best_class = classes.size();
     double best_pred = std::numeric_limits<double>::infinity();
@@ -272,23 +312,16 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   }
 
   // --- exact fallback pass --------------------------------------------------
-  // Re-rank what is left under the final model and simulate the predicted
-  // neighborhood of the optimum for real: the global top K plus the
+  // Rank what is left under the final model (the last round's predictions)
+  // and simulate the predicted neighborhood of the optimum for real: the global top K plus the
   // predicted-best member of every pruned class. This is what turns the
   // band from a heuristic into a checked one — the reported optimum can
   // only come from a simulated point.
-  const std::vector<std::size_t> pending = repredict();
-  refresh_incumbent();
   if (!pending.empty()) {
-    std::vector<std::size_t> ranked = pending;
-    std::sort(ranked.begin(), ranked.end(), [&](std::size_t a, std::size_t b) {
-      if (predicted[a] != predicted[b]) return predicted[a] < predicted[b];
-      return a < b;
-    });
-    const std::size_t top_k =
-        std::min(ranked.size(), std::max(kFallbackMin, points.size() / kFallbackFraction));
+    const std::size_t top_k = std::max(kFallbackMin, points.size() / kFallbackFraction);
     std::vector<std::uint8_t> take(points.size(), 0);
-    for (std::size_t k = 0; k < top_k; ++k) take[ranked[k]] = 1;
+    for (const std::size_t idx : fallback_top_k(std::move(pending), predicted, top_k))
+      take[idx] = 1;
     for (const ClassState& cls : classes) {
       if (cls.admitted) continue;
       std::size_t best_idx = points.size();

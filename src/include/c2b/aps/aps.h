@@ -50,6 +50,15 @@ struct FullDseResult {
 /// +infinity, not times.
 FullDseResult run_full_dse(const DseContext& context, const GridSpace& space);
 
+/// The feasible designs of a space in flat order: run_full_dse's plan.
+struct FeasibleDesigns {
+  std::vector<std::size_t> flats;
+  std::vector<std::vector<double>> points;  ///< parallel to flats
+};
+/// Every point of `space` that passes design_feasible, checked against one
+/// constraint set built for the whole pass.
+FeasibleDesigns feasible_designs(const DseContext& context, const GridSpace& space);
+
 struct ApsOptions {
   /// Radius (in grid steps, min 1) of the A1/A2 cache-split neighborhood
   /// that simulation refines around the analytic optimum.

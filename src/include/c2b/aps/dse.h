@@ -100,6 +100,9 @@ sim::SystemConfig config_for_design(const DseContext& context,
 /// configurations that do not fit the die (or its power/BW/NoC envelopes)
 /// are not simulated by any method.
 bool design_feasible(const DseContext& context, const std::vector<double>& point);
+/// The same filter against a set already built by design_constraints, so
+/// a loop over the grid builds it once rather than once per point.
+bool design_feasible(const ConstraintSet& constraints, const std::vector<double>& point);
 
 /// Stream-determining key of a design: every field that decides which trace
 /// records the simulator consumes — workload uid + numeric g/memory_scale

@@ -28,6 +28,7 @@
 // exhaustive sweeps select identical optima and identical Pareto frontiers
 // on seeded spaces.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +54,13 @@ struct SurrogateSweepResult {
   SurrogateStats stats;
   BatchReplayStats batch;
 };
+
+/// The exact fallback pass's global top K: the `k` entries of `pending`
+/// (distinct point indices) that come first when sorted by
+/// (predicted[index], index), in unspecified order. Only the set is
+/// needed, so it is partitioned out rather than sorted.
+std::vector<std::size_t> fallback_top_k(std::vector<std::size_t> pending,
+                                        const std::vector<double>& predicted, std::size_t k);
 
 /// Run the surrogate driver over `points` (already feasibility-filtered,
 /// as produced by the run_full_dse / run_pareto_dse plan phase). Pass

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "c2b/aps/characterize.h"
 #include "c2b/aps/dse.h"
 
@@ -105,6 +108,54 @@ TEST(Dse, ConfigMappingHonorsAxes) {
   EXPECT_EQ(config.hierarchy.l1_geometry.size_bytes, 16u * 1024u);
   // a2 = 2.0 area * 48 KiB * 2 cores = 192 KiB -> rounds to 256 KiB.
   EXPECT_EQ(config.hierarchy.l2_geometry.size_bytes, 256u * 1024u);
+}
+
+/// The median of `values` (upper median for even sizes).
+double median_of(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2, values.end());
+  return values[values.size() / 2];
+}
+
+TEST(Dse, FeasiblePlanMatchesPerPointFilter) {
+  DseContext context = tiny_context();
+  const GridSpace space = make_design_space(make_large_axes());
+  auto per_point_flats = [&] {
+    std::vector<std::size_t> flats;
+    space.for_each([&](std::size_t flat, const std::vector<double>& point) {
+      if (design_feasible(context, point)) flats.push_back(flat);
+    });
+    return flats;
+  };
+  auto expect_plan_matches = [&](const std::vector<std::size_t>& want, const char* what) {
+    const FeasibleDesigns plan = feasible_designs(context, space);
+    EXPECT_EQ(plan.flats, want) << what;
+    ASSERT_EQ(plan.points.size(), plan.flats.size()) << what;
+    for (std::size_t i = 0; i < plan.flats.size(); ++i)
+      EXPECT_EQ(plan.points[i], space.point(plan.flats[i])) << what << " flat " << plan.flats[i];
+  };
+
+  // Every budget infinite: the area filter alone.
+  const std::vector<std::size_t> area_only = per_point_flats();
+  ASSERT_FALSE(area_only.empty());
+  expect_plan_matches(area_only, "area only");
+
+  // Finite power, bandwidth and NoC budgets, each at its median demand over
+  // the area-feasible points, so every one of them rejects designs.
+  std::vector<double> power, bandwidth, noc;
+  for (const std::size_t flat : area_only) {
+    const DesignPoint d = design_point_of(space.point(flat));
+    power.push_back(context.cost.power.total(d, context.chip.shared_area));
+    bandwidth.push_back(context.cost.bandwidth.demand(d));
+    noc.push_back(context.cost.noc.per_link_load(d));
+  }
+  context.power_budget = median_of(power);
+  context.bw_budget = median_of(bandwidth);
+  context.noc_budget = median_of(noc);
+  ASSERT_EQ(design_constraints(context).size(), 4u);
+  const std::vector<std::size_t> budgeted = per_point_flats();
+  ASSERT_FALSE(budgeted.empty());
+  EXPECT_LT(budgeted.size(), area_only.size());
+  expect_plan_matches(budgeted, "all budgets finite");
 }
 
 TEST(Dse, CacheCapacityRoundsUpNotToNearest) {
