@@ -1,11 +1,6 @@
 #pragma once
 
-// Shared helpers for the reproduction bench binaries. Every binary prints
-// its paper table/figure as an aligned console table, mirrors it to
-// bench_out/<name>.csv, and then (when built with google-benchmark hooks)
-// runs the micro-benchmarks registered for that figure.
-
-#include <benchmark/benchmark.h>
+// Shared console output for the bench binaries.
 
 #include <cstdio>
 #include <string>
@@ -14,21 +9,9 @@
 
 namespace c2b::bench {
 
-/// Print a reproduction table with a titled banner and mirror it to CSV.
-inline void emit(const std::string& title, const Table& table, const std::string& csv_name) {
+/// Print a table under a titled banner.
+inline void print_table(const std::string& title, const Table& table) {
   std::printf("\n=== %s ===\n%s", title.c_str(), table.to_string().c_str());
-  const std::string path = "bench_out/" + csv_name + ".csv";
-  if (table.write_csv(path)) std::printf("[csv] %s\n", path.c_str());
-}
-
-/// Standard main body: print the figure first, then run any registered
-/// google-benchmark micro-benchmarks (skipped cleanly when none).
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }
 
 }  // namespace c2b::bench

@@ -46,18 +46,10 @@ struct CamatParams {
 /// collapses to AMAT (the paper's "AMAT is a special case of C-AMAT").
 [[nodiscard]] CamatParams camat_from_sequential(const AmatParams& p);
 
-/// Classic sequential data-stall time per instruction (Eq. 6):
-/// stall = f_mem * AMAT ... valid only when no concurrency exists.
-[[nodiscard]] double data_stall_amat(double f_mem, double amat_cycles);
-
 /// Concurrency-aware stall contribution used in Eq. (7):
 /// f_mem * C-AMAT * (1 - overlap_ratio_cm), where overlap_ratio_cm is the
 /// fraction of pure-miss-induced stall hidden behind computation.
 [[nodiscard]] double data_stall_camat(double f_mem, double camat_cycles, double overlap_ratio_cm);
-
-/// Eq. (5)/(7): total time = IC * (CPI_exe + stall_per_instruction) * cycle.
-[[nodiscard]] double cpu_time(double instruction_count, double cpi_exe,
-                              double stall_per_instruction, double cycle_time = 1.0);
 
 /// One layer of the recursive multi-level C-AMAT formulation
 /// (Sun & Wang [15]): the pure-miss penalty of layer i is the next layer's

@@ -35,12 +35,6 @@ CamatParams camat_from_sequential(const AmatParams& p) {
   return c;
 }
 
-double data_stall_amat(double f_mem, double amat_cycles) {
-  C2B_REQUIRE(f_mem >= 0.0 && f_mem <= 1.0, "f_mem in [0,1]");
-  C2B_REQUIRE(amat_cycles >= 0.0, "AMAT must be non-negative");
-  return f_mem * amat_cycles;
-}
-
 double data_stall_camat(double f_mem, double camat_cycles, double overlap_ratio_cm) {
   C2B_REQUIRE(f_mem >= 0.0 && f_mem <= 1.0, "f_mem in [0,1]");
   C2B_REQUIRE(camat_cycles >= 0.0, "C-AMAT must be non-negative");
@@ -63,15 +57,6 @@ double recursive_camat(const std::vector<CamatLevel>& levels, double memory_cama
             level.pure_miss_rate * level.kappa * below;
   }
   return below;
-}
-
-double cpu_time(double instruction_count, double cpi_exe, double stall_per_instruction,
-                double cycle_time) {
-  C2B_REQUIRE(instruction_count >= 0.0, "instruction count must be non-negative");
-  C2B_REQUIRE(cpi_exe > 0.0, "CPI_exe must be positive");
-  C2B_REQUIRE(stall_per_instruction >= 0.0, "stall must be non-negative");
-  C2B_REQUIRE(cycle_time > 0.0, "cycle time must be positive");
-  return instruction_count * (cpi_exe + stall_per_instruction) * cycle_time;
 }
 
 }  // namespace c2b

@@ -56,9 +56,7 @@ TEST(Concurrency, Equation3) {
 }
 
 TEST(DataStall, Equations5Through7) {
-  EXPECT_DOUBLE_EQ(data_stall_amat(0.3, 3.8), 0.3 * 3.8);
   EXPECT_DOUBLE_EQ(data_stall_camat(0.3, 1.6, 0.25), 0.3 * 1.6 * 0.75);
-  EXPECT_DOUBLE_EQ(cpu_time(1000.0, 0.5, 0.48, 2.0), 1000.0 * 0.98 * 2.0);
   EXPECT_THROW((void)data_stall_camat(0.3, 1.6, 1.5), std::invalid_argument);
 }
 
