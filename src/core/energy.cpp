@@ -96,7 +96,10 @@ EnergyEvaluation EnergyAwareOptimizer::best_allocation(long long n_cores,
     penalty += violation(chip.min_l1_area - a1);
     penalty += violation(chip.min_l2_area - a2);
     penalty += violation(chip.min_core_area - a0);
-    if (penalty > 0.0) return 1e15 * (1.0 + penalty);
+    // Above every feasible objective value: ED^2P runs past 1e16 on
+    // realistic chips, so a smaller constant lets the search settle in the
+    // infeasible region.
+    if (penalty > 0.0) return 1e300 * (1.0 + penalty);
     return model_.objective_value({.n_cores = n, .a0 = a0, .a1 = a1, .a2 = a2}, objective);
   };
 

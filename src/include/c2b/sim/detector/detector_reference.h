@@ -6,9 +6,9 @@
 // dense ring and pays O(hit + penalty) slot updates per access — exactly
 // the cost profile the production detector replaces, which is why the
 // per-cycle reference kernel (system_reference.cpp) keeps using it: the
-// bench_sim_kernel before/after ratio then measures the real seed hot
-// path, and `c2b check --family kernel` proves the two detector
-// implementations agree on every finalized metric.
+// event-vs-reference `speedup` of perf_smoke's kernel scenarios then
+// measures the real seed hot path, and `c2b check --family kernel` proves
+// the two detector implementations agree on every finalized metric.
 //
 // Do not "improve" this class; its value is being boring.
 

@@ -120,9 +120,9 @@ struct MemberState {
   std::size_t n;
   CoreLanes lanes;
 
-  // Cycle-skip accounting for bench_sim_kernel: cycles no event landed on
-  // were provably unobservable (no core could act), so the kernel never
-  // touched them.
+  // Cycle-skip accounting for perf_smoke's kernel scenarios: cycles no
+  // event landed on were provably unobservable (no core could act), so the
+  // kernel never touched them.
   std::uint64_t visited_cycles = 0;
   std::uint64_t skipped_cycles = 0;
   std::uint64_t last_visited = 0;

@@ -105,6 +105,26 @@ TEST(Energy, OptimizerObjectivesOrderSensibly) {
   EXPECT_LE(balanced.best.edp, frugal.best.edp * (1.0 + 1e-6));
 }
 
+// The reproduction's ext_energy setup: a fixed-size problem with heavy
+// leakage, where feasible ED^2P values run past 1e16. The infeasible
+// region must still score worse than every feasible design, or the
+// ED^2P search drifts into it and loses to the min-time chip.
+TEST(Energy, Ed2pOptimumBeatsMinTimeDesignOnEd2p) {
+  AppProfile app = app_profile();
+  app.g = ScalingFunction::fixed();
+  EnergyModel energy;
+  energy.leakage_per_area_cycle = 5e-3;
+  const EnergyAwareModel model(C2BoundModel(app, machine_profile()), energy);
+  OptimizerOptions options;
+  options.n_max = 32;
+  options.nelder_mead_restarts = 5;
+  const EnergyAwareOptimizer opt(model, options);
+
+  const EnergyOptimum ed2p = opt.optimize(DesignObjective::kEd2p);
+  const EnergyOptimum fastest = opt.optimize(DesignObjective::kTime);
+  EXPECT_LE(ed2p.best.ed2p, fastest.best.ed2p);
+}
+
 TEST(Energy, ParetoFrontIsNonDominatedAndSorted) {
   OptimizerOptions options;
   options.n_max = 16;
