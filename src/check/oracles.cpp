@@ -50,8 +50,8 @@ constexpr std::size_t kInvariantCases = 60;
 constexpr std::size_t kLedgerConfigs = 2;
 /// kernel equivalence: random (config, trace) cases compared bitwise
 /// against the per-cycle reference kernel. Also sizes the family's other
-/// parts: kKernelConfigs / 4 streaming cases and random DSE design sets,
-/// kKernelConfigs / 10 batch-width sets.
+/// parts: kKernelConfigs / 4 random DSE design sets and kKernelConfigs / 10
+/// batch-width sets.
 constexpr std::size_t kKernelConfigs = 40;
 /// constraint ground truth: random budgeted spaces enumerated serially
 /// and compared against the constrained optimizer + Pareto frontier.
@@ -721,7 +721,10 @@ void check_batch_widths(const OracleOptions& options, OracleReport& report) {
     const std::uint32_t n = proto.hierarchy.cores;
     const WorkloadSpec spec = gen_workload_spec(rng);
     const double scale = pick(rng, {1.0, 2.0});
-    const std::uint64_t window = 2'000 + rng.uniform_below(4'000);
+    // The first set's streams span more than one chunk, so every seed
+    // replays across a chunk edge, where the compute-run table is capped.
+    const std::uint64_t window =
+        (i == 0 ? TraceChunkStore::kChunkRecords + 1 : 2'000) + rng.uniform_below(4'000);
     const std::uint64_t stream_seed = rng.next();
 
     // The exact streams every member consumes, materialized once for the
@@ -1009,55 +1012,6 @@ OracleReport run_kernel_equivalence_oracle(const OracleOptions& options) {
       report.failures.push_back("kernel case #" + std::to_string(i) + " (" +
                                 print_system_config(config) + "): event vs reference " +
                                 *diff + "; repro: " + repro);
-    }
-  }
-
-  // --- streaming cursor vs materialized trace, bitwise --------------------
-  // Catalog-workload generator streams replayed two ways: materialized via
-  // TraceGenerator::generate and chunk-at-a-time via GeneratorTraceCursor
-  // with a deliberately small chunk (many refills). Also asserts the
-  // cursor's O(chunk) residency contract.
-  const std::size_t streaming_cases = kKernelConfigs / 4;
-  for (std::size_t i = 0; i < streaming_cases; ++i) {
-    Rng rng(Rng::derive_stream_seed(options.seed, 51'000 + i));
-    const std::string repro = repro_command(report.family, options.seed, 51'000 + i);
-    const sim::SystemConfig config = gen_system_config(rng);
-    const WorkloadSpec spec = gen_workload_spec(rng);
-    const double scale = pick(rng, {1.0, 2.0, 4.0});
-    const std::uint64_t window = 2'000 + rng.uniform_below(6'000);
-    const std::size_t chunk = pick<std::size_t>(rng, {64, 257, 1024});
-    const std::uint64_t stream_seed = rng.next();
-
-    const std::size_t n = config.hierarchy.cores;
-    std::vector<Trace> traces;
-    traces.reserve(n);
-    std::vector<GeneratorTraceCursor> cursors;
-    cursors.reserve(n);
-    std::vector<TraceCursor*> cursor_ptrs;
-    cursor_ptrs.reserve(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::uint64_t core_seed =
-          Rng::derive_stream_seed(stream_seed, static_cast<std::uint64_t>(c));
-      traces.push_back(spec.make_generator(scale, core_seed)->generate(window));
-      cursors.emplace_back(spec.make_generator(scale, core_seed), window, chunk);
-      cursor_ptrs.push_back(&cursors.back());
-    }
-
-    const sim::SystemResult materialized = sim::simulate_system(config, traces);
-    const sim::SystemResult streamed = sim::simulate_system_streaming(config, cursor_ptrs);
-    ++report.checks;
-    if (auto diff = diff_system_results(streamed, materialized)) {
-      report.failures.push_back("streaming case #" + std::to_string(i) + " (workload " +
-                                spec.name + ", chunk " + std::to_string(chunk) +
-                                "): streamed vs materialized " + *diff + "; repro: " + repro);
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      if (cursors[c].max_resident_records() > chunk) {
-        report.failures.push_back(
-            "streaming case #" + std::to_string(i) + " core " + std::to_string(c) +
-            " kept " + std::to_string(cursors[c].max_resident_records()) +
-            " records resident (chunk " + std::to_string(chunk) + "); repro: " + repro);
-      }
     }
   }
 

@@ -22,9 +22,9 @@
 //   4. kernel equivalence — the one replay kernel vs the retained per-cycle
 //      reference kernel, every SystemResult field compared bitwise: K=1 on
 //      random configurations (coherence and prefetch included) and random
-//      traces with the per-run demand-access ledger, streaming-cursor vs
-//      materialized replay, and batch widths {1,2,4,8,16} over shared
-//      chunk-store streams; then the DSE layer — the shipped
+//      traces with the per-run demand-access ledger, and batch widths
+//      {1,2,4,8,16} over shared chunk-store streams (the first set always
+//      longer than one chunk); then the DSE layer — the shipped
 //      simulate_design_times_batched, one point per call and whole sets at
 //      every thread count, vs simulate_design_time_reference on random
 //      design-point sets (each with one equal-key twin appended, which a

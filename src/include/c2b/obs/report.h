@@ -63,7 +63,7 @@ struct RunReport {
   };
   std::vector<ReplayCall> replay_calls;
 
-  // --- cache/batch effectiveness (from `cache_peel` / `run_end`) ---
+  // --- cache/batch effectiveness (from `cache_peel` / `batch_stats`) ---
   double points = 0.0;             ///< design points entering the sweep
   double cache_hits = 0.0;         ///< points peeled by the sim cache (any tier)
   double cache_hits_disk = 0.0;    ///< the subset served by the disk tier

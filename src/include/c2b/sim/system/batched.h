@@ -7,8 +7,7 @@
 // cycles live in one flat array; each event is picked by an argmin over
 // the member's slice and processed by the shared step body
 // (detail::step_core). The per-point entry points in system.h
-// (simulate_system, simulate_system_streaming, simulate_single_core) are
-// K=1 calls into it.
+// (simulate_system, simulate_single_core) are K=1 calls into it.
 //
 // C-AMAT detection runs only where it is read. The caller states once per
 // call whether it wants C-AMAT (ReplayMode), and the kernel is compiled
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "c2b/sim/system/system.h"
+#include "c2b/trace/cursor.h"
 
 namespace c2b::sim {
 

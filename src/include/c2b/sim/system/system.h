@@ -21,7 +21,6 @@
 
 #include "c2b/metrics/timeline.h"
 #include "c2b/sim/system/hierarchy.h"
-#include "c2b/trace/cursor.h"
 #include "c2b/trace/trace.h"
 
 namespace c2b::sim {
@@ -71,13 +70,6 @@ struct SystemResult {
 /// other per-point entry points are K=1 calls into the one replay kernel,
 /// simulate_system_batched (batched.h).
 SystemResult simulate_system(const SystemConfig& config, const std::vector<Trace>& per_core_traces);
-
-/// Streaming form of simulate_system: one cursor per core, consumed as the
-/// simulation advances. Bit-identical to the materialized overload when the
-/// cursors yield the same record streams; peak trace memory is whatever the
-/// cursors keep resident (O(chunk) for GeneratorTraceCursor).
-SystemResult simulate_system_streaming(const SystemConfig& config,
-                                       const std::vector<TraceCursor*>& cursors);
 
 /// The seed per-cycle kernel, retained verbatim as the differential
 /// baseline for the replay kernel (`c2b check --family kernel` and the

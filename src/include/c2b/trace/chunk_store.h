@@ -16,8 +16,8 @@
 // i, capped at the end of i's chunk. That keeps ChunkCursor::compute_run()
 // O(1) per call and, because the cap is a *lower bound* on the true run
 // length, the kernel's compute fast path stays correct (TraceCursor
-// contract). The chunk size only sets that cap; it is kept at the
-// streaming cursors' chunk so the kernel takes the same steps over either.
+// contract). The chunk size only sets that cap, and the batched kernel's
+// lockstep round (batched.cpp) reads the same constant.
 //
 // Add every stream before constructing cursors, on one thread; after that
 // the store is read-only.
@@ -45,22 +45,20 @@ class ChunkCursor;
 
 class TraceChunkStore {
  public:
-  static constexpr std::size_t kDefaultChunkRecords = GeneratorTraceCursor::kDefaultChunkRecords;
+  /// Records per chunk: the compute-run cap and the kernel's lockstep round.
+  static constexpr std::size_t kChunkRecords = 4096;
 
-  explicit TraceChunkStore(std::size_t chunk_records = kDefaultChunkRecords);
-
+  TraceChunkStore() = default;
   TraceChunkStore(const TraceChunkStore&) = delete;
   TraceChunkStore& operator=(const TraceChunkStore&) = delete;
 
   /// Generate a stream: exactly the first `count` records of
-  /// `generator->next()` after a reset() (bit-identical to
-  /// GeneratorTraceCursor over the same generator). The generator is
-  /// dropped once the stream is complete. Returns the stream id.
+  /// `generator->next()` after a TraceGenerator::reset() (bit-identical to
+  /// TraceGenerator::generate(count)). The generator is dropped once the
+  /// stream is complete. Returns the stream id.
   std::size_t add_stream(std::unique_ptr<TraceGenerator> generator, std::uint64_t count);
 
   std::size_t stream_count() const noexcept { return streams_.size(); }
-  std::uint64_t stream_length(std::size_t stream) const;
-  std::size_t chunk_capacity() const noexcept { return chunk_; }
 
   const ChunkStoreStats& stats() const noexcept { return stats_; }
 
@@ -75,7 +73,6 @@ class TraceChunkStore {
     std::vector<std::uint32_t> compute_run;
   };
 
-  std::size_t chunk_;
   std::vector<Stream> streams_;
   ChunkStoreStats stats_;
 };
@@ -97,10 +94,6 @@ class ChunkCursor final : public TraceCursor {
     C2B_ASSERT(count <= total_ - offset_, "skip past end of stream");
     offset_ += count;
   }
-  void reset() override { offset_ = 0; }
-
-  std::uint64_t stream_length() const noexcept { return total_; }
-  std::uint64_t position() const noexcept { return offset_; }
 
  private:
   const TraceRecord* records_;

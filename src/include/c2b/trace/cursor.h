@@ -1,29 +1,24 @@
 #pragma once
 
-// Streaming trace replay. The simulator's issue loop consumes instructions
+// Trace replay cursors. The simulator's issue loop consumes instructions
 // strictly in program order, one at a time, and only ever needs to look at
 // the *next* record — so a pull cursor with peek/advance semantics is
-// enough to drive it, and generator-backed workloads no longer need a
-// materialized std::vector<TraceRecord> per core. The contract the kernel
-// relies on:
+// enough to drive it. There is one cursor per real input: design replay
+// reads ChunkCursors over an immutable TraceChunkStore (chunk_store.h), and
+// materialized traces (simulate_system, characterization) are read through
+// VectorTraceCursor. The contract the kernel relies on:
 //
 //  * peek() returns the next unconsumed record (stable until advance())
 //    or nullptr once the stream is exhausted;
 //  * advance() consumes exactly the record peek() returned;
 //  * compute_run(limit) counts consecutive kCompute records starting at
 //    the cursor without consuming them — it may return fewer than the
-//    true run length (bounded by internal buffering), never more, so the
-//    kernel's compute fast path stays correct at chunk boundaries;
+//    true run length (a cursor may cap it at a chunk boundary), never
+//    more, so the kernel's compute fast path stays correct;
 //  * skip(count) consumes `count` records (the caller must know they
-//    exist, e.g. from compute_run);
-//  * reset() rewinds to the beginning of the identical stream.
-//
-// GeneratorTraceCursor keeps at most one chunk of records resident, which
-// is what makes DSE replay memory O(chunk) instead of O(window) per core.
+//    exist, e.g. from compute_run).
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "c2b/trace/trace.h"
@@ -35,23 +30,20 @@ class TraceCursor {
   virtual ~TraceCursor() = default;
 
   /// Next unconsumed record, or nullptr at end of stream. The pointer is
-  /// valid until the next advance()/skip()/reset() call.
+  /// valid until the next advance()/skip() call.
   virtual const TraceRecord* peek() = 0;
 
   /// Consume the record peek() returned. Precondition: peek() != nullptr.
   virtual void advance() = 0;
 
   /// Length of the run of consecutive kCompute records starting at the
-  /// cursor, capped at `limit` and at the internal buffer boundary (a
-  /// lower bound on the true run length). Does not consume.
+  /// cursor, capped at `limit` (and possibly at a chunk boundary: a lower
+  /// bound on the true run length). Does not consume.
   virtual std::size_t compute_run(std::size_t limit) = 0;
 
   /// Consume `count` records. Precondition: the stream holds at least
   /// `count` more records.
   virtual void skip(std::size_t count) = 0;
-
-  /// Rewind to the start of the identical record stream.
-  virtual void reset() = 0;
 };
 
 /// Cursor over an already-materialized trace (not owned).
@@ -72,49 +64,10 @@ class VectorTraceCursor final : public TraceCursor {
     return run;
   }
   void skip(std::size_t count) override { pos_ += count; }
-  void reset() override { pos_ = 0; }
 
  private:
   const std::vector<TraceRecord>* records_;
   std::size_t pos_ = 0;
-};
-
-/// Cursor that pulls records from a TraceGenerator chunk-at-a-time. The
-/// stream is exactly the first `count` records of generator->next() after a
-/// reset() — bit-identical to TraceGenerator::generate(count), with at most
-/// `chunk_records` of them resident at any moment.
-class GeneratorTraceCursor final : public TraceCursor {
- public:
-  static constexpr std::size_t kDefaultChunkRecords = 4096;
-
-  GeneratorTraceCursor(std::unique_ptr<TraceGenerator> generator, std::uint64_t count,
-                       std::size_t chunk_records = kDefaultChunkRecords);
-
-  const TraceRecord* peek() override;
-  void advance() override;
-  std::size_t compute_run(std::size_t limit) override;
-  void skip(std::size_t count) override;
-  void reset() override;
-
-  /// Records in the stream (fixed at construction).
-  std::uint64_t stream_length() const noexcept { return total_; }
-  /// Configured resident-window bound.
-  std::size_t chunk_capacity() const noexcept { return chunk_; }
-  /// Largest number of records resident at once so far (<= chunk_capacity).
-  std::size_t max_resident_records() const noexcept { return max_resident_; }
-
- private:
-  /// Refill the (exhausted) buffer with the next chunk of the stream.
-  void refill();
-  bool buffer_exhausted() const noexcept { return pos_ >= buffer_.size(); }
-
-  std::unique_ptr<TraceGenerator> generator_;
-  std::uint64_t total_;
-  std::size_t chunk_;
-  std::uint64_t produced_ = 0;  ///< records pulled from the generator so far
-  std::vector<TraceRecord> buffer_;
-  std::size_t pos_ = 0;
-  std::size_t max_resident_ = 0;
 };
 
 }  // namespace c2b

@@ -70,14 +70,6 @@ RunReport build_report(const std::vector<JournalRecord>& records,
     } else if (record.type == "run_end") {
       report.saw_run_end = true;
       report.total_wall_ms = std::max(report.total_wall_ms, record.ts_ms);
-      report.points = record.num("points", report.points);
-      report.cache_hits = record.num("cache_hits", report.cache_hits);
-      report.chunks_shared = record.num("chunks_shared", report.chunks_shared);
-      report.regen_avoided_accesses =
-          record.num("regen_avoided_accesses", report.regen_avoided_accesses);
-      report.simd_steps = record.num("simd_steps", report.simd_steps);
-      report.simd_peels = record.num("simd_peels", report.simd_peels);
-      report.simd_lanes_active = record.num("simd_lanes_active", report.simd_lanes_active);
     } else if (record.type == "phase_end") {
       const std::string name = record.str("name", "?");
       const auto [it, inserted] = phase_index.emplace(name, report.phases.size());

@@ -24,6 +24,7 @@
 
 #include "c2b/obs/registry.h"
 #include "c2b/sim/system/system.h"
+#include "c2b/trace/cursor.h"
 
 namespace c2b::sim::detail {
 

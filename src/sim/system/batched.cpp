@@ -151,7 +151,7 @@ const ArgminFn g_argmin_wide = pick_argmin();
 /// previous common target before every member is caught up. One store
 /// chunk keeps a unit's members within a chunk of each other on their
 /// shared streams, so the records they read stay cache-warm.
-constexpr std::uint64_t kLockstepRecords = TraceChunkStore::kDefaultChunkRecords;
+constexpr std::uint64_t kLockstepRecords = TraceChunkStore::kChunkRecords;
 
 /// The kernel loop, templated over the detector switch and the concrete
 /// cursor type so step_core's peek/advance/compute_run/skip calls

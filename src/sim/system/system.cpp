@@ -34,12 +34,6 @@ double SystemResult::aggregate_ipc() const noexcept {
   return cycles == 0 ? 0.0 : total_instructions() / static_cast<double>(cycles);
 }
 
-SystemResult simulate_system_streaming(const SystemConfig& config,
-                                       const std::vector<TraceCursor*>& cursors) {
-  return std::move(
-      simulate_system_batched({config}, {cursors}, ReplayMode::kWithCamat).front());
-}
-
 SystemResult simulate_system(const SystemConfig& config,
                              const std::vector<Trace>& per_core_traces) {
   C2B_REQUIRE(!per_core_traces.empty(), "need at least one trace");
@@ -49,7 +43,8 @@ SystemResult simulate_system(const SystemConfig& config,
   std::vector<TraceCursor*> cursors;
   cursors.reserve(storage.size());
   for (VectorTraceCursor& cursor : storage) cursors.push_back(&cursor);
-  return simulate_system_streaming(config, cursors);
+  return std::move(
+      simulate_system_batched({config}, {cursors}, ReplayMode::kWithCamat).front());
 }
 
 SystemResult simulate_single_core(const SystemConfig& config, const Trace& trace) {

@@ -4,10 +4,6 @@
 
 namespace c2b {
 
-TraceChunkStore::TraceChunkStore(std::size_t chunk_records) : chunk_(chunk_records) {
-  C2B_REQUIRE(chunk_records > 0, "chunk_records must be positive");
-}
-
 std::size_t TraceChunkStore::add_stream(std::unique_ptr<TraceGenerator> generator,
                                         std::uint64_t count) {
   C2B_REQUIRE(generator != nullptr, "generator must not be null");
@@ -26,18 +22,13 @@ std::size_t TraceChunkStore::add_stream(std::unique_ptr<TraceGenerator> generato
   s.compute_run.assign(n, 0);
   for (std::size_t i = n; i-- > 0;) {
     if (s.records[i].kind != InstrKind::kCompute) continue;
-    const bool run_continues = i + 1 < n && (i + 1) % chunk_ != 0;
+    const bool run_continues = i + 1 < n && (i + 1) % kChunkRecords != 0;
     s.compute_run[i] = 1 + (run_continues ? s.compute_run[i + 1] : 0);
   }
-  stats_.chunks_generated += (n + chunk_ - 1) / chunk_;
+  stats_.chunks_generated += (n + kChunkRecords - 1) / kChunkRecords;
   stats_.records_generated += n;
   streams_.push_back(std::move(s));
   return streams_.size() - 1;
-}
-
-std::uint64_t TraceChunkStore::stream_length(std::size_t stream) const {
-  C2B_REQUIRE(stream < streams_.size(), "stream id out of range");
-  return streams_[stream].records.size();
 }
 
 ChunkCursor::ChunkCursor(const TraceChunkStore& store, std::size_t stream)

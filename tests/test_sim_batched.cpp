@@ -44,22 +44,20 @@ void expect_results_bitwise_equal(const sim::SystemResult& a, const sim::SystemR
             std::bit_cast<std::uint64_t>(b.hierarchy.l1_miss_ratio));
 }
 
-/// Per-member reference: fresh generator cursors, plain streaming kernel.
+/// Per-member reference: the per-cycle reference kernel over the same
+/// streams, materialized.
 sim::SystemResult reference_run(const sim::SystemConfig& config, std::uint64_t seed,
                                 std::uint64_t records) {
-  std::vector<std::unique_ptr<TraceCursor>> owned;
-  std::vector<TraceCursor*> cursors;
-  for (std::uint32_t c = 0; c < config.hierarchy.cores; ++c) {
-    owned.push_back(std::make_unique<GeneratorTraceCursor>(
-        std::make_unique<ZipfStreamGenerator>(zipf_params(seed + c)), records));
-    cursors.push_back(owned.back().get());
-  }
-  return sim::simulate_system_streaming(config, cursors);
+  std::vector<Trace> traces;
+  for (std::uint32_t c = 0; c < config.hierarchy.cores; ++c)
+    traces.push_back(ZipfStreamGenerator(zipf_params(seed + c)).generate(records));
+  return sim::simulate_system_reference(config, traces);
 }
 
 TEST(SimulateBatched, MembersMatchPerPointRunsBitwise) {
   // Three members with different hardware over the same trace streams: the
-  // canonical trace-equivalence-class shape.
+  // canonical trace-equivalence-class shape. Each must match the reference
+  // kernel run on its own.
   const std::uint64_t kSeed = 71;
   const std::uint64_t kRecords = 12'000;
   std::vector<sim::SystemConfig> configs(3);
@@ -93,28 +91,6 @@ TEST(SimulateBatched, MembersMatchPerPointRunsBitwise) {
   EXPECT_EQ(store.stats().records_generated, kRecords);
 }
 
-TEST(SimulateBatched, SingleMemberDegeneratesToStreaming) {
-  sim::SystemConfig config;
-  config.hierarchy.cores = 2;
-  TraceChunkStore store;
-  std::vector<std::size_t> ids;
-  for (std::uint32_t c = 0; c < 2; ++c)
-    ids.push_back(store.add_stream(
-        std::make_unique<ZipfStreamGenerator>(zipf_params(80 + c)), 8'000));
-  ChunkCursor c0(store, ids[0]), c1(store, ids[1]);
-  const std::vector<sim::SystemResult> batched =
-      sim::simulate_system_batched({config}, {{&c0, &c1}}, sim::ReplayMode::kWithCamat);
-  ASSERT_EQ(batched.size(), 1u);
-  std::vector<std::unique_ptr<TraceCursor>> owned;
-  std::vector<TraceCursor*> cursors;
-  for (std::uint32_t c = 0; c < 2; ++c) {
-    owned.push_back(std::make_unique<GeneratorTraceCursor>(
-        std::make_unique<ZipfStreamGenerator>(zipf_params(80 + c)), 8'000));
-    cursors.push_back(owned.back().get());
-  }
-  expect_results_bitwise_equal(batched[0], sim::simulate_system_streaming(config, cursors));
-}
-
 TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
   // Width-8 member races far ahead in simulated work per record; the
   // lockstep driver must keep results right while members drain at very
@@ -128,7 +104,7 @@ TEST(SimulateBatched, MembersFinishingAtDifferentTimesStayCorrect) {
   configs[0].core.rob_size = 16;
   configs[1].core.issue_width = 8;
   configs[1].core.rob_size = 192;
-  TraceChunkStore store(/*chunk_records=*/512);
+  TraceChunkStore store;
   const std::size_t id = store.add_stream(
       std::make_unique<ZipfStreamGenerator>(zipf_params(kSeed)), kRecords);
   ChunkCursor a(store, id), b(store, id);

