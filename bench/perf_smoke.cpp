@@ -620,6 +620,75 @@ std::optional<Metrics> warm_restart_dse() {
   return metrics;
 }
 
+/// The surrogate study run cold with a disk tier attached, then after an
+/// emulated process restart. The restart must restore every MLP fit from
+/// its fit file and be bitwise the cold sweep, SurrogateStats included (but
+/// for the counts of where the fits came from). The gate is the number of
+/// fits the restart trained, which does not depend on machine speed; the
+/// wall times are reported only.
+std::optional<Metrics> surrogate_warm_restart() {
+  const std::string cache_dir =
+      (std::filesystem::temp_directory_path() /
+       ("c2b-perf-smoke-fit-cache-" + std::to_string(getpid())))
+          .string();
+  std::filesystem::remove_all(cache_dir);
+  reset_process_state(kDefaultThreads, true);
+  DseContext context = stencil_large_axes_context();
+  context.surrogate_enabled = true;
+  const GridSpace space = make_design_space(make_large_axes());
+  exec::SimCache& cache = exec::SimCache::global();
+  const auto restart = [&] {
+    cache.detach_disk_tier();
+    cache.clear();
+    return cache.attach_disk_tier(cache_dir);
+  };
+  const auto finish = [&](std::optional<Metrics> metrics) {
+    cache.detach_disk_tier();
+    cache.clear();
+    std::filesystem::remove_all(cache_dir);
+    return metrics;
+  };
+  if (!restart()) {
+    std::fprintf(stderr, "cannot attach cache dir '%s'\n", cache_dir.c_str());
+    return finish(std::nullopt);
+  }
+
+  auto start = Clock::now();
+  const FullDseResult cold = run_full_dse(context, space);
+  const double cold_ms = wall_ms(start);
+  cache.flush_disk();
+  if (!restart()) {
+    std::fprintf(stderr, "cannot re-attach cache dir '%s'\n", cache_dir.c_str());
+    return finish(std::nullopt);
+  }
+  start = Clock::now();
+  const FullDseResult warm = run_full_dse(context, space);
+  const double restart_ms = wall_ms(start);
+
+  const SurrogateStats& a = warm.surrogate;
+  const SurrogateStats& b = cold.surrogate;
+  bool same = warm.best_index == cold.best_index && bits_equal(warm.best_time, cold.best_time) &&
+              warm.simulations == cold.simulations && warm.times.size() == cold.times.size() &&
+              a.classes_total == b.classes_total && a.classes_simulated == b.classes_simulated &&
+              a.classes_pruned == b.classes_pruned && a.points_total == b.points_total &&
+              a.points_simulated == b.points_simulated && a.warmup_sims == b.warmup_sims &&
+              a.fallback_sims == b.fallback_sims && a.trained_samples == b.trained_samples &&
+              a.rounds == b.rounds && bits_equal(a.mre, b.mre);
+  for (std::size_t i = 0; same && i < cold.times.size(); ++i)
+    same = bits_equal(warm.times[i], cold.times[i]);
+  if (!same) {
+    std::fprintf(stderr, "surrogate warm restart diverged from the cold sweep\n");
+    return finish(std::nullopt);
+  }
+  return finish(Metrics{{"rounds", static_cast<double>(b.rounds)},
+                        {"fits_trained_cold", static_cast<double>(b.fits_trained)},
+                        {"fits_trained", static_cast<double>(a.fits_trained)},
+                        {"fits_cached", static_cast<double>(a.fits_cached)},
+                        {"fit_drops", static_cast<double>(a.fit_drops)},
+                        {"cold_ms", cold_ms},
+                        {"restart_ms", restart_ms}});
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry cost, each a paired_ab of telemetry on against off.
 
@@ -800,6 +869,10 @@ const Scenario kScenarios[] = {
      "a restart reads ~1.05x the in-memory sweep on a development machine; a slower disk-tier "
      "lookup trips the ratio, and one miss or simulation means the cache key or record codec "
      "drifted"},
+    {"surrogate_warm_restart", surrogate_warm_restart,
+     {{"fits_trained", kCeiling, 0.0}},
+     "a restart restores every MLP fit from its fit file; one trained fit means the fit "
+     "key or the fit-file codec drifted"},
     {"telemetry_runtime_toggle", telemetry_runtime_toggle,
      {{"overhead_pct", kCeiling, 2.0}},
      "the repo-wide 2% observability budget on the single-threaded simulator hot loop"},

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -9,6 +11,28 @@
 #include "c2b/exec/pool.h"
 
 namespace c2b {
+namespace {
+
+void append_bytes(std::string& out, const void* data, std::size_t size) {
+  out.append(static_cast<const char*>(data), size);
+}
+
+template <typename T>
+void append_raw(std::string& out, const T& value) {
+  append_bytes(out, &value, sizeof value);
+}
+
+void append_doubles(std::string& out, const double* data, std::size_t count) {
+  append_bytes(out, data, count * sizeof(double));
+}
+
+/// Copies `size` bytes at `*at` to `out` and advances past them.
+void read_bytes(const char*& at, void* out, std::size_t size) {
+  std::memcpy(out, at, size);
+  at += size;
+}
+
+}  // namespace
 
 void FeatureScaler::fit(const std::vector<Vector>& samples) {
   C2B_REQUIRE(!samples.empty(), "cannot fit a scaler on no samples");
@@ -222,6 +246,88 @@ void Mlp::fit(const std::vector<Vector>& inputs, const std::vector<double>& targ
       break;  // plateau
     }
   }
+}
+
+std::string Mlp::snapshot() const {
+  std::string out;
+  append_raw(out, static_cast<std::uint64_t>(scaler_.lo_.size()));
+  append_doubles(out, scaler_.lo_.data(), scaler_.lo_.size());
+  append_doubles(out, scaler_.hi_.data(), scaler_.hi_.size());
+  append_raw(out, target_mean_);
+  append_raw(out, target_scale_);
+  const Rng::State rng = rng_.state();
+  append_raw(out, rng.words);
+  append_raw(out, rng.cached_normal);
+  append_raw(out, static_cast<std::uint64_t>(rng.has_cached_normal));
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    const std::size_t count = weights_[l].rows() * weights_[l].cols();
+    append_doubles(out, weights_[l].data(), count);
+    append_doubles(out, velocity_[l].data(), count);
+  }
+  return out;
+}
+
+bool Mlp::restore(std::string_view bytes) {
+  constexpr std::size_t kWord = sizeof(double);
+  if (bytes.size() < kWord) return false;
+  std::uint64_t dim = 0;
+  std::memcpy(&dim, bytes.data(), kWord);
+  if (dim != 0 && dim != config_.layer_sizes[0]) return false;
+  std::size_t params = 0;
+  for (const Matrix& w : weights_) params += w.rows() * w.cols();
+  // dim, 2 x dim bounds, mean, scale, 4 Rng words, cached normal, its flag,
+  // then weights and velocities.
+  if (bytes.size() != kWord * (1 + 2 * dim + 2 + 4 + 2 + 2 * params)) return false;
+
+  const char* at = bytes.data() + kWord;
+  scaler_.lo_.resize(dim);
+  scaler_.hi_.resize(dim);
+  read_bytes(at, scaler_.lo_.data(), dim * kWord);
+  read_bytes(at, scaler_.hi_.data(), dim * kWord);
+  read_bytes(at, &target_mean_, kWord);
+  read_bytes(at, &target_scale_, kWord);
+  Rng::State rng{};
+  read_bytes(at, rng.words, sizeof rng.words);
+  read_bytes(at, &rng.cached_normal, kWord);
+  std::uint64_t has_cached_normal = 0;
+  read_bytes(at, &has_cached_normal, kWord);
+  rng.has_cached_normal = has_cached_normal != 0;
+  rng_.set_state(rng);
+  for (std::size_t l = 0; l < weights_.size(); ++l) {
+    const std::size_t bytes_per_matrix = weights_[l].rows() * weights_[l].cols() * kWord;
+    read_bytes(at, weights_[l].data(), bytes_per_matrix);
+    read_bytes(at, velocity_[l].data(), bytes_per_matrix);
+  }
+  return true;
+}
+
+std::string Mlp::fit_key(const std::vector<Vector>& inputs, const std::vector<double>& targets,
+                         int epochs) const {
+  // Every variable-length part is preceded by its length, so distinct
+  // (config, state, data, epochs) tuples never share a key.
+  const std::string state = snapshot();
+  const std::size_t dim = config_.layer_sizes[0];
+  std::string key;
+  key.reserve(8 * (config_.layer_sizes.size() + 8) + state.size() +
+              inputs.size() * (dim + 1) * sizeof(double) + targets.size() * sizeof(double));
+  append_raw(key, static_cast<std::uint64_t>(config_.layer_sizes.size()));
+  for (const std::size_t size : config_.layer_sizes)
+    append_raw(key, static_cast<std::uint64_t>(size));
+  append_raw(key, static_cast<std::uint64_t>(config_.hidden_activation));
+  append_raw(key, config_.learning_rate);
+  append_raw(key, config_.momentum);
+  append_raw(key, config_.l2_penalty);
+  append_raw(key, static_cast<std::uint64_t>(state.size()));
+  key += state;
+  append_raw(key, static_cast<std::uint64_t>(inputs.size()));
+  for (const Vector& x : inputs) {
+    append_raw(key, static_cast<std::uint64_t>(x.size()));
+    append_doubles(key, x.data(), x.size());
+  }
+  append_raw(key, static_cast<std::uint64_t>(targets.size()));
+  append_doubles(key, targets.data(), targets.size());
+  append_raw(key, static_cast<std::int64_t>(epochs));
+  return key;
 }
 
 double Mlp::predict_into(const Vector& input, double* scratch) const {

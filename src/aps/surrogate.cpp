@@ -8,9 +8,14 @@
 #include <utility>
 #include <vector>
 
+#if __has_include(<gnu/libc-version.h>)
+#include <gnu/libc-version.h>
+#endif
+
 #include "c2b/ann/mlp.h"
 #include "c2b/common/assert.h"
 #include "c2b/common/rng.h"
+#include "c2b/exec/sim_cache.h"
 #include "c2b/obs/journal.h"
 #include "c2b/obs/obs.h"
 
@@ -101,7 +106,67 @@ bool sim_dominates(const SimPoint& a, const SimPoint& b) {
   return a.time < b.time || a.power < b.power || a.area < b.area;
 }
 
+std::string compute_libm_tag() {
+  std::string tag;
+#if __has_include(<gnu/libc-version.h>)
+  tag += "glibc ";
+  tag += gnu_get_libc_version();
+#else
+  tag += "libc unknown";
+#endif
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  tag += " fma" + std::to_string(__builtin_cpu_supports("fma") != 0);
+  tag += " fma4" + std::to_string(__builtin_cpu_supports("fma4") != 0);
+  tag += " avx2" + std::to_string(__builtin_cpu_supports("avx2") != 0);
+  tag += " sse4.1" + std::to_string(__builtin_cpu_supports("sse4.1") != 0);
+#endif
+  // The canary: a fit through every part of the training path (scaler,
+  // target normalization, shuffle, tanh forward pass, SGD step), whose
+  // bits change whenever libm's tanh or the training code does.
+  MlpConfig config;
+  config.layer_sizes = {2, 3, 3, 1};
+  config.seed = 11;
+  Mlp canary(config);
+  std::vector<Vector> inputs;
+  std::vector<double> targets;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back({0.5 * i, 3.0 - 0.25 * i * i});
+    targets.push_back(1.0 + 0.75 * i - 0.125 * i * i);
+  }
+  canary.fit(inputs, targets, 16);
+  tag += " canary ";
+  tag += canary.snapshot();
+  return tag;
+}
+
 }  // namespace
+
+const std::string& fit_libm_tag() {
+  static const std::string tag = compute_libm_tag();
+  return tag;
+}
+
+std::string fit_memo_key(const std::string& fit_key, const std::string& libm_tag) {
+  // fit_key ends with its last length-prefixed part, so the tag appended
+  // after it cannot be confused with key bytes.
+  return fit_key + libm_tag;
+}
+
+FitMemoOutcome memoized_fit(Mlp& model, const std::vector<Vector>& inputs,
+                            const std::vector<double>& targets, int epochs) {
+  exec::SimCache& cache = exec::SimCache::global();
+  if (!cache.enabled() || !cache.has_disk_tier()) {
+    model.fit(inputs, targets, epochs);
+    return {};
+  }
+  const std::string key = fit_memo_key(model.fit_key(inputs, targets, epochs));
+  const exec::BlobLookup found = cache.read_blob(key);
+  if (found.payload && model.restore(*found.payload)) return {true, false};
+  model.fit(inputs, targets, epochs);
+  cache.write_blob(key, model.snapshot());
+  return {false, found.dropped || found.payload.has_value()};
+}
 
 std::vector<std::size_t> fallback_top_k(std::vector<std::size_t> pending,
                                         const std::vector<double>& predicted, std::size_t k) {
@@ -184,9 +249,14 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   mlp_config.layer_sizes = {points[0].size(), 16, 16, 1};
   mlp_config.seed = Rng::derive_stream_seed(context.seed, kSurrogateSeedSalt);
   Mlp model(mlp_config);
+  auto fit = [&](const std::vector<Vector>& x, const std::vector<double>& y, int epochs) {
+    const FitMemoOutcome outcome = memoized_fit(model, x, y, epochs);
+    ++(outcome.cached ? result.stats.fits_cached : result.stats.fits_trained);
+    result.stats.fit_drops += outcome.dropped ? 1 : 0;
+  };
   auto refit = [&](int epochs) {
     if (train_x.size() <= kTrainCap) {
-      model.fit(train_x, train_y, epochs);
+      fit(train_x, train_y, epochs);
       return;
     }
     // Strided subsample over the streamed order: pure function of the
@@ -200,7 +270,7 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
       sub_x.push_back(train_x[k]);
       sub_y.push_back(train_y[k]);
     }
-    model.fit(sub_x, sub_y, epochs);
+    fit(sub_x, sub_y, epochs);
   };
   refit(kWarmupEpochs);
   ++result.stats.rounds;
@@ -378,6 +448,9 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
   C2B_COUNTER_ADD("exec.surrogate.classes_pruned", result.stats.classes_pruned);
   C2B_COUNTER_ADD("exec.surrogate.classes_simulated", result.stats.classes_simulated);
   C2B_COUNTER_ADD("exec.surrogate.fallback_sims", result.stats.fallback_sims);
+  C2B_COUNTER_ADD("exec.surrogate.fits_trained", result.stats.fits_trained);
+  C2B_COUNTER_ADD("exec.surrogate.fits_cached", result.stats.fits_cached);
+  C2B_COUNTER_ADD("exec.surrogate.fit_drops", result.stats.fit_drops);
   C2B_GAUGE_SET("exec.surrogate.mre", result.stats.mre);
   if (obs::RunJournal* journal = obs::active_journal())
     journal->emit(obs::JournalEvent("surrogate_summary")
@@ -390,7 +463,10 @@ SurrogateSweepResult surrogate_sweep(const DseContext& context,
                       .count("fallback_sims", result.stats.fallback_sims)
                       .count("trained_samples", result.stats.trained_samples)
                       .count("rounds", result.stats.rounds)
-                      .num("mre", result.stats.mre));
+                      .num("mre", result.stats.mre)
+                      .count("fits_trained", result.stats.fits_trained)
+                      .count("fits_cached", result.stats.fits_cached)
+                      .count("fit_drops", result.stats.fit_drops));
   return result;
 }
 

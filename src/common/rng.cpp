@@ -38,6 +38,16 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   has_cached_normal_ = false;
 }
 
+Rng::State Rng::state() const noexcept {
+  return State{{s_[0], s_[1], s_[2], s_[3]}, cached_normal_, has_cached_normal_};
+}
+
+void Rng::set_state(const State& state) noexcept {
+  for (int i = 0; i < 4; ++i) s_[i] = state.words[i];
+  cached_normal_ = state.cached_normal;
+  has_cached_normal_ = state.has_cached_normal;
+}
+
 std::uint64_t Rng::next() noexcept {
   const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
   const std::uint64_t t = s_[1] << 17;

@@ -1,5 +1,7 @@
 #include "c2b/exec/disk_tier.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -71,10 +73,16 @@ std::string encode_record(const std::string& key, const SimCache::Value& value) 
   return out;
 }
 
-std::string read_file(const std::filesystem::path& path) {
-  std::string bytes;
+// Side file: [magic "C2BF"][u64 key_len][u64 payload_len][key][payload]
+//            [u64 FNV-1a64 of all prior bytes].
+constexpr char kBlobMagic[4] = {'C', '2', 'B', 'F'};
+constexpr std::size_t kBlobHeaderSize = 4 + 8 + 8;
+
+/// The whole file, or nothing when it cannot be opened.
+std::optional<std::string> read_file(const std::filesystem::path& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return bytes;
+  if (file == nullptr) return std::nullopt;
+  std::string bytes;
   char buffer[1 << 16];
   std::size_t got = 0;
   while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) bytes.append(buffer, got);
@@ -252,7 +260,8 @@ std::unique_ptr<DiskTier> DiskTier::open(const std::string& dir, Options options
     }
   }
   std::sort(segment_paths.begin(), segment_paths.end());
-  for (const auto& path : segment_paths) tier->impl_->load_segment(read_file(path));
+  for (const auto& path : segment_paths)
+    tier->impl_->load_segment(read_file(path).value_or(std::string()));
   tier->impl_->publish_entries();
 
   Impl* impl = tier->impl_.get();
@@ -323,6 +332,48 @@ void DiskTier::flush() {
   }
 }
 
+BlobLookup DiskTier::read_blob(const std::string& key) const {
+  BlobLookup out;
+  const std::optional<std::string> bytes = read_file(impl_->dir + "/" + blob_name(key));
+  if (!bytes) return out;
+  const std::string& b = *bytes;
+  out.dropped = true;
+  if (b.size() < kBlobHeaderSize + kTrailerSize ||
+      std::memcmp(b.data(), kBlobMagic, sizeof kBlobMagic) != 0)
+    return out;
+  const std::uint64_t key_len = read_u64(b.data() + 4);
+  const std::uint64_t payload_len = read_u64(b.data() + 12);
+  const std::size_t body = b.size() - kTrailerSize;
+  if (key_len > body - kBlobHeaderSize || payload_len != body - kBlobHeaderSize - key_len ||
+      read_u64(b.data() + body) != fnv1a(b.data(), body) || key_len != key.size() ||
+      std::memcmp(b.data() + kBlobHeaderSize, key.data(), key.size()) != 0)
+    return out;
+  out.dropped = false;
+  out.payload = b.substr(kBlobHeaderSize + key_len, payload_len);
+  return out;
+}
+
+void DiskTier::write_blob(const std::string& key, const std::string& payload) {
+  std::string bytes;
+  bytes.reserve(kBlobHeaderSize + key.size() + payload.size() + kTrailerSize);
+  bytes.append(kBlobMagic, sizeof kBlobMagic);
+  append_u64(bytes, key.size());
+  append_u64(bytes, payload.size());
+  bytes += key;
+  bytes += payload;
+  append_u64(bytes, fnv1a(bytes.data(), bytes.size()));
+
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string path = impl_->dir + "/" + blob_name(key);
+  const std::string temp = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+                           std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+  std::FILE* file = std::fopen(temp.c_str(), "wb");
+  if (file == nullptr) return;
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok || std::rename(temp.c_str(), path.c_str()) != 0) std::remove(temp.c_str());
+}
+
 DiskTierStats DiskTier::stats() const {
   DiskTierStats out;
   {
@@ -344,6 +395,13 @@ std::size_t DiskTier::entries() const {
 std::string DiskTier::segment_name(std::size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "seg-%02zu.c2b", index);
+  return buf;
+}
+
+std::string DiskTier::blob_name(const std::string& key) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "blob-%016llx.c2b",
+                static_cast<unsigned long long>(fnv1a(key.data(), key.size())));
   return buf;
 }
 

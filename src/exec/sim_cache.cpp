@@ -233,6 +233,17 @@ void SimCache::flush_disk() {
   if (const auto disk = impl_->disk_tier()) disk->flush();
 }
 
+BlobLookup SimCache::read_blob(const std::string& key) const {
+  if (!enabled()) return {};
+  const auto disk = impl_->disk_tier();
+  return disk != nullptr ? disk->read_blob(key) : BlobLookup{};
+}
+
+void SimCache::write_blob(const std::string& key, const std::string& payload) {
+  if (!enabled()) return;
+  if (const auto disk = impl_->disk_tier()) disk->write_blob(key, payload);
+}
+
 void SimCache::clear() {
   for (Impl::Shard& shard : impl_->shards) {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -269,6 +280,14 @@ SimCacheStats SimCache::stats() const {
 }
 
 SimCache& SimCache::global() {
+  // The disk tier's flusher counts into the telemetry registry until
+  // ~SimCache joins it at exit. Function statics are destroyed in reverse
+  // order of construction, so the registry is constructed first: were it
+  // first touched by attach_disk_tier below, it would be destroyed while a
+  // flusher draining the last writes still counted into it (heap
+  // corruption at exit after a cold run with C2B_SIM_CACHE_DIR set).
+  static obs::Registry& registry = obs::Registry::global();
+  (void)registry;
   static SimCache instance;
   static const bool attached = [] {
     const char* dir = std::getenv("C2B_SIM_CACHE_DIR");

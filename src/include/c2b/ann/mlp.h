@@ -8,6 +8,8 @@
 // simulations that takes (the paper's 613).
 
 #include <cstddef>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "c2b/common/rng.h"
@@ -40,6 +42,7 @@ class FeatureScaler {
   bool fitted() const noexcept { return !lo_.empty(); }
 
  private:
+  friend class Mlp;  // snapshot() and restore() carry the bounds
   Vector lo_, hi_;
 };
 
@@ -90,6 +93,23 @@ class Mlp {
   /// against a reference implementation.
   const std::vector<Matrix>& weights() const noexcept { return weights_; }
   const std::vector<Matrix>& velocities() const noexcept { return velocity_; }
+
+  /// Exactly the state fit() writes, as bytes: the scaler bounds, the
+  /// target mean and scale, the Rng state, then each layer's weights and
+  /// velocities. A net of the same config that restore()s them predicts
+  /// and keeps training bitwise like this one. The doubles are the host's
+  /// native bytes: a snapshot is for this host's cache, not for exchange.
+  std::string snapshot() const;
+  /// Loads a snapshot(). Returns false, leaving the net untouched, when
+  /// `bytes` is not the size of a snapshot of this layer shape.
+  bool restore(std::string_view bytes);
+
+  /// The exact bytes of everything fit(inputs, targets, epochs) reads: the
+  /// layer shape and hyper-parameters, snapshot() (the state before the
+  /// fit), the inputs and targets as passed, and `epochs`. Equal keys
+  /// leave bitwise-equal nets, so a fit can be memoized under its key.
+  std::string fit_key(const std::vector<Vector>& inputs, const std::vector<double>& targets,
+                      int epochs) const;
 
  private:
   /// The one forward kernel, shared by training, predict and

@@ -187,6 +187,12 @@ struct SurrogateStats {
   std::size_t trained_samples = 0;   ///< (point -> time) pairs the MLP saw
   std::size_t rounds = 0;            ///< scheduling rounds (training epochs batches)
   double mre = 0.0;  ///< final model mean relative error on simulated points
+  // One MLP fit per round; with a disk tier attached each is memoized in
+  // a fit file (surrogate.h, memoized_fit), so fits_trained + fits_cached
+  // == rounds. Only these three differ between a cold and a warm run.
+  std::size_t fits_trained = 0;  ///< fits computed by Mlp::fit
+  std::size_t fits_cached = 0;   ///< fits restored from a fit file
+  std::size_t fit_drops = 0;     ///< fit files skipped as torn, corrupt or foreign
 };
 
 /// The one way to evaluate design points (one BatchSimOutcome per point,

@@ -30,8 +30,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "c2b/ann/mlp.h"
 #include "c2b/aps/dse.h"
 
 namespace c2b {
@@ -61,6 +63,33 @@ struct SurrogateSweepResult {
 /// needed, so it is partitioned out rather than sorted.
 std::vector<std::size_t> fallback_top_k(std::vector<std::size_t> pending,
                                         const std::vector<double>& predicted, std::size_t k);
+
+/// What one memoized_fit call did.
+struct FitMemoOutcome {
+  bool cached = false;   ///< the fit was restored from a fit file
+  bool dropped = false;  ///< a fit file was there but unusable, so the fit ran
+};
+
+/// The libm-dispatch tag every fit file's key carries, computed once per
+/// process: the glibc version, the x86-64 CPU features glibc's libm IFUNCs
+/// select on (FMA, FMA4, AVX2, SSE4.1), and the snapshot of one tiny
+/// canary fit. std::tanh's bits follow that dispatch (DESIGN.md), and the
+/// canary also changes with any change to the training code, so fit files
+/// from another libm, CPU or build of Mlp::fit are never served.
+const std::string& fit_libm_tag();
+
+/// The key a fit file is stored under: Mlp::fit_key's bytes followed by
+/// the libm tag.
+std::string fit_memo_key(const std::string& fit_key, const std::string& libm_tag = fit_libm_tag());
+
+/// model.fit(inputs, targets, epochs), memoized in the fit files of
+/// exec::SimCache::global()'s disk tier: a fit file whose stored key equals
+/// fit_memo_key(model.fit_key(...)) is restored instead of training, and a
+/// trained fit is written back. Either way the net ends bitwise as fit()
+/// leaves it. With the cache disabled or no disk tier attached this is
+/// exactly model.fit(...) and touches no file.
+FitMemoOutcome memoized_fit(Mlp& model, const std::vector<Vector>& inputs,
+                            const std::vector<double>& targets, int epochs);
 
 /// Run the surrogate driver over `points` (already feasibility-filtered,
 /// as produced by the run_full_dse / run_pareto_dse plan phase). Pass

@@ -46,13 +46,16 @@
 //      every thread count, cold and warm sim-cache, and every simulated
 //      point's time must be bitwise equal to its exhaustive counterpart;
 //   7. persistent cache — the two-tier SimCache's cross-run contract: on
-//      random scenarios, a no-cache reference sweep, a cold disk-backed
-//      sweep, a warm in-memory replay, and warm *restarts* (memory tier
-//      dropped, disk tier re-attached — the process-restart emulation)
-//      must all be bitwise identical at every thread count; a corrupted
-//      cache directory (bit flips, truncated tails, stale schema) must
-//      degrade to a cold run with the damage counted as drops, never
-//      change a result and never error.
+//      random scenarios, each swept with the surrogate off and on, a
+//      no-cache reference sweep, a cold disk-backed sweep, warm *restarts*
+//      (memory tier dropped, disk tier re-attached — the process-restart
+//      emulation) at every thread count and a warm in-memory replay must
+//      all be bitwise identical, surrogate statistics included; with the
+//      surrogate on, every warm run restores every MLP fit from its fit
+//      file and a cache-off run reads and writes none; a corrupted cache
+//      directory (bit flips, truncated tails) must degrade to a cold run
+//      with the damage counted as drops (fit files included), never change
+//      a result and never error.
 //
 // The oracles mutate process-global execution state (thread count, the
 // global sim cache, telemetry counters) and restore defaults on exit; do

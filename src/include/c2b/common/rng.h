@@ -65,6 +65,16 @@ class Rng {
   /// mixed derivation has no such structural collisions.
   static std::uint64_t derive_stream_seed(std::uint64_t seed, std::uint64_t stream) noexcept;
 
+  /// The generator's whole state: set_state(state()) on any Rng resumes
+  /// this one's stream exactly, cached normal variate included.
+  struct State {
+    std::uint64_t words[4];
+    double cached_normal;
+    bool has_cached_normal;
+  };
+  State state() const noexcept;
+  void set_state(const State& state) noexcept;
+
  private:
   std::uint64_t s_[4]{};
   double cached_normal_ = 0.0;

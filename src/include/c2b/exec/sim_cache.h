@@ -44,6 +44,12 @@
 
 namespace c2b::exec {
 
+/// One read of a disk-tier side file (DiskTier::read_blob).
+struct BlobLookup {
+  std::optional<std::string> payload;  ///< the stored value, when the file holds this key intact
+  bool dropped = false;  ///< a file was there but torn, corrupt, or written for another key
+};
+
 struct SimCacheStats {
   std::uint64_t hits = 0;        ///< served from the memory tier
   std::uint64_t misses = 0;      ///< missed every attached tier
@@ -112,6 +118,13 @@ class SimCache {
 
   /// Synchronously drains pending disk writes (no-op without a tier).
   void flush_disk();
+
+  /// The disk tier's side files (DiskTier::read_blob / write_blob): one
+  /// file per key for values too large to index at attach. With the cache
+  /// disabled or no disk tier attached, read_blob finds nothing and
+  /// write_blob writes nothing; neither touches the filesystem.
+  BlobLookup read_blob(const std::string& key) const;
+  void write_blob(const std::string& key, const std::string& payload);
 
   /// Drops every memory-tier entry and resets the hit/miss/eviction
   /// counters, so a fresh measurement window starts from zero. The disk

@@ -144,6 +144,9 @@ struct RunReport {
   double surrogate_trained_samples = 0.0;
   double surrogate_rounds_total = 0.0;
   double surrogate_mre = 0.0;
+  double surrogate_fits_trained = 0.0;
+  double surrogate_fits_cached = 0.0;
+  double surrogate_fit_drops = 0.0;
 
   JournalReadStats read_stats;
 };

@@ -165,6 +165,9 @@ RunReport build_report(const std::vector<JournalRecord>& records,
       report.surrogate_trained_samples = record.num("trained_samples");
       report.surrogate_rounds_total = record.num("rounds");
       report.surrogate_mre = record.num("mre");
+      report.surrogate_fits_trained = record.num("fits_trained");
+      report.surrogate_fits_cached = record.num("fits_cached");
+      report.surrogate_fit_drops = record.num("fit_drops");
     }
   }
 
@@ -401,8 +404,12 @@ std::string render_report(const RunReport& report, std::size_t top_k) {
                   report.surrogate_warmup_sims, report.surrogate_fallback_sims,
                   report.surrogate_trained_samples);
     out += line;
-    std::snprintf(line, sizeof line, "  model     %.0f round(s), final MRE %.2f%%\n",
-                  report.surrogate_rounds_total, 100.0 * report.surrogate_mre);
+    std::snprintf(line, sizeof line,
+                  "  model     %.0f round(s), final MRE %.2f%% | fits_trained %.0f | "
+                  "fits_cached %.0f | fit_drops %.0f\n",
+                  report.surrogate_rounds_total, 100.0 * report.surrogate_mre,
+                  report.surrogate_fits_trained, report.surrogate_fits_cached,
+                  report.surrogate_fit_drops);
     out += line;
     for (const RunReport::SurrogateRound& round : report.surrogate_rounds) {
       std::snprintf(line, sizeof line,

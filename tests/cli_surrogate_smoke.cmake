@@ -15,10 +15,12 @@ execute_process(
 if(NOT dse_rc EQUAL 0)
   message(FATAL_ERROR "c2b dse --surrogate failed (${dse_rc}):\n${dse_out}\n${dse_err}")
 endif()
-string(FIND "${dse_out}" "surrogate" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "dse output missing the surrogate summary:\n${dse_out}")
-endif()
+foreach(needle "surrogate" "fits_trained" "fits_cached" "fit_drops")
+  string(FIND "${dse_out}" "${needle}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "dse output missing '${needle}' in the surrogate summary:\n${dse_out}")
+  endif()
+endforeach()
 if(NOT EXISTS "${journal}")
   message(FATAL_ERROR "journal file was not written: ${journal}")
 endif()
@@ -34,7 +36,10 @@ endif()
 
 foreach(needle
     "== run =="
-    "== surrogate ==")
+    "== surrogate =="
+    "fits_trained"
+    "fits_cached"
+    "fit_drops")
   string(FIND "${report_out}" "${needle}" found)
   if(found EQUAL -1)
     message(FATAL_ERROR "report output missing '${needle}':\n${report_out}")

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "c2b/common/rng.h"
@@ -583,6 +584,72 @@ TEST(MlpReference, PredictAndPredictBatchMatchAtEveryPoolWidth) {
     }
   }
   exec::set_thread_count(0);
+}
+
+// A snapshot carries exactly what fit() writes: a net restored from it
+// predicts like the net that trained and, trained further the same way,
+// stays bitwise equal to it (scaler, target normalization and shuffle
+// stream included).
+TEST(Mlp, RestoredNetPredictsAndKeepsTrainingBitwiseLikeTheTrainedNet) {
+  const MlpConfig config = reference_config({3, 8, 6, 1}, Activation::kTanh, 41);
+  const auto first = smooth_set(3, 50, 41);
+  const auto second = smooth_set(3, 70, 42);
+  const auto query = smooth_set(3, 40, 43);
+  Mlp trained(config);
+  trained.fit(first.first, first.second, 30);
+
+  MlpConfig other_seed = config;
+  other_seed.seed = 99;  // different initial weights: restore must overwrite them all
+  Mlp restored(other_seed);
+  ASSERT_TRUE(restored.restore(trained.snapshot()));
+  EXPECT_EQ(restored.snapshot(), trained.snapshot());
+  for (const Vector& x : query.first)
+    EXPECT_TRUE(bit_equal(restored.predict(x), trained.predict(x)));
+
+  trained.fit(second.first, second.second, 25);
+  restored.fit(second.first, second.second, 25);
+  EXPECT_EQ(bit_mismatches(restored.weights(), trained.weights()), 0u);
+  EXPECT_EQ(bit_mismatches(restored.velocities(), trained.velocities()), 0u);
+  EXPECT_TRUE(bit_equal(restored.train_epoch(first.first, first.second),
+                        trained.train_epoch(first.first, first.second)));
+  EXPECT_EQ(restored.snapshot(), trained.snapshot());
+  for (const Vector& x : query.first)
+    EXPECT_TRUE(bit_equal(restored.predict(x), trained.predict(x)));
+}
+
+TEST(Mlp, RestoreRejectsSnapshotsOfAnotherShape) {
+  Mlp wide(reference_config({3, 8, 1}, Activation::kTanh, 5));
+  Mlp narrow(reference_config({3, 4, 1}, Activation::kTanh, 5));
+  const auto train = smooth_set(3, 20, 5);
+  wide.fit(train.first, train.second, 5);
+  const std::string before = narrow.snapshot();
+  EXPECT_FALSE(narrow.restore(wide.snapshot()));
+  const std::string snapshot = wide.snapshot();
+  EXPECT_FALSE(wide.restore(std::string_view(snapshot).substr(0, snapshot.size() - 1)));
+  EXPECT_FALSE(narrow.restore(""));
+  EXPECT_EQ(narrow.snapshot(), before);  // a rejected restore changes nothing
+  EXPECT_EQ(wide.snapshot(), snapshot);
+}
+
+// fit_key is what a memoized fit is looked up by, so it must change with
+// every input fit() reads and with nothing else.
+TEST(Mlp, FitKeyChangesWithEveryInputOfFit) {
+  const MlpConfig config = reference_config({3, 6, 1}, Activation::kTanh, 8);
+  const auto train = smooth_set(3, 30, 8);
+  const Mlp net(config);
+  const std::string key = net.fit_key(train.first, train.second, 20);
+  EXPECT_EQ(Mlp(config).fit_key(train.first, train.second, 20), key);
+
+  MlpConfig faster = config;
+  faster.learning_rate *= 2.0;
+  EXPECT_NE(Mlp(faster).fit_key(train.first, train.second, 20), key);
+  Mlp trained(config);
+  trained.fit(train.first, train.second, 3);
+  EXPECT_NE(trained.fit_key(train.first, train.second, 20), key);
+  auto targets = train.second;
+  targets.back() += 1e-9;
+  EXPECT_NE(net.fit_key(train.first, targets, 20), key);
+  EXPECT_NE(net.fit_key(train.first, train.second, 21), key);
 }
 
 }  // namespace

@@ -477,8 +477,10 @@ void print_surrogate_summary(const SurrogateStats& stats) {
   std::printf("  points          %zu/%zu simulated (%.1f%%), warmup %zu, fallback %zu\n",
               stats.points_simulated, stats.points_total, point_pct, stats.warmup_sims,
               stats.fallback_sims);
-  std::printf("  model           %zu round(s), %zu trained samples, final MRE %.2f%%\n",
-              stats.rounds, stats.trained_samples, 100.0 * stats.mre);
+  std::printf("  model           %zu round(s), %zu trained samples, final MRE %.2f%%, "
+              "fits_trained %zu, fits_cached %zu, fit_drops %zu\n",
+              stats.rounds, stats.trained_samples, 100.0 * stats.mre, stats.fits_trained,
+              stats.fits_cached, stats.fit_drops);
 }
 
 /// The sweep context `c2b aps` and `c2b dse` share: workload lookup, the
